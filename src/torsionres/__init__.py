@@ -42,19 +42,13 @@ from .symbols import (
     power_by_composition,
     symbol_compose,
     symbol_invert_order2,
-    symbol_partial_x,
-    symbol_partial_xi,
     symbol_product,
     symbols_equal,
 )
 from .torsion import (
     TermBreakdown,
     assemble_density,
-    closed_form_density,
     composition_oracle_density,
-    h1_density,
-    h2_density,
-    h3_density,
     lemma33_trace_identity,
     lemma34_contraction,
     plain_dirac_torsion_density,
@@ -62,5 +56,4 @@ from .torsion import (
     torsion_prefactor_element,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

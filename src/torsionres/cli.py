@@ -11,6 +11,7 @@ Exit codes: 0 all comparisons passed, 1 a verification comparison failed,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .checks import LEMMA_CHECKS, run_sweep
@@ -28,11 +29,18 @@ def _cmd_run(args) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        print(f"error: --out: no directory for {args.out}", file=sys.stderr)
+        return EXIT_USAGE
     doc = build_report(scenario, tolerance=args.tolerance, perturb=perturb)
     text = report_to_text(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: --out: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     for line in summarize_report(doc):

@@ -167,7 +167,7 @@ class NormalMetricJets:
     sqrt_det: Jet
 
 
-def _scalar_jet(n: int, field, entries: Dict[Tuple[int, ...], object], max_degree: int = 2) -> Jet:
+def _scalar_jet(n: int, entries: Dict[Tuple[int, ...], object], max_degree: int = 2) -> Jet:
     return Jet(
         n, max_degree,
         {mono: CliffordElement.scalar(n, c) for mono, c in entries.items() if bool(c)},
@@ -198,7 +198,7 @@ def build_metric_jets(curv: CurvatureData, mode: str = "exact") -> NormalMetricJ
                     entries[mono] = entries[mono] + coeff
                 else:
                     entries[mono] = coeff
-        return _scalar_jet(n, fld, entries)
+        return _scalar_jet(n, entries)
 
     g_lower = [[quadratic(a, b, -1) for b in range(1, n + 1)] for a in range(1, n + 1)]
     g_upper = [[quadratic(a, b, +1) for b in range(1, n + 1)] for a in range(1, n + 1)]
@@ -211,7 +211,7 @@ def build_metric_jets(curv: CurvatureData, mode: str = "exact") -> NormalMetricJ
         )
         coeff = fld.of(-sixth * v)
         entries[mono] = entries.get(mono, fld.of(0)) + coeff
-    sqrt_det = _scalar_jet(n, fld, entries)
+    sqrt_det = _scalar_jet(n, entries)
     return NormalMetricJets(n, fld, g_lower, g_upper, sqrt_det)
 
 
@@ -418,11 +418,7 @@ class Scenario:
         return field_for_mode(self.mode)
 
 
-def _jet_const(n: int, e: CliffordElement, degree: int = 1) -> Jet:
-    return Jet.constant(n, degree, e)
-
-
-def clifford_field_jet(V: VectorFieldJet, field, degree: int = 1) -> Jet:
+def clifford_field_jet(V: VectorFieldJet, degree: int = 1) -> Jet:
     """c(V(x)) = c(V_0) + sum_j x_j c(dV/dx_j), exact for a linear field."""
     n = V.dim
     terms = {(0,) * n: clifford_of_vector(V.value)}
@@ -435,7 +431,7 @@ def clifford_field_jet(V: VectorFieldJet, field, degree: int = 1) -> Jet:
     return Jet(n, degree, terms)
 
 
-def norm_sq_jet(V: VectorFieldJet, field, degree: int = 1) -> Jet:
+def norm_sq_jet(V: VectorFieldJet, degree: int = 1) -> Jet:
     """|V(x)|^2 to the requested order.
 
     The linear coefficient is d|V|^2; with ``degree`` = 2 the exact
@@ -467,7 +463,7 @@ def norm_sq_jet(V: VectorFieldJet, field, degree: int = 1) -> Jet:
     return Jet(n, degree, terms)
 
 
-def d_norm_sq_clifford_jet(V: VectorFieldJet, field, degree: int = 1) -> Jet:
+def d_norm_sq_clifford_jet(V: VectorFieldJet, degree: int = 1) -> Jet:
     """c(d|V(x)|^2), exact for a linear field.
 
     Component j of d|V|^2 at x is 2 sum_a V_a(x) J[j][a]; its x_mu
@@ -501,11 +497,11 @@ def rescaled_dirac_symbols(s: Scenario, degree: int = 1) -> Symbol:
     and is not modelled beyond it; V is carried to first order.
     """
     n, fld = s.n, s.field
-    cV = clifford_field_jet(s.V, fld, degree)
+    cV = clifford_field_jet(s.V, degree)
     terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
     for j in range(n):
         ej = CliffordElement.basis(n, j + 1, fld.one)
-        jet = (cV * _jet_const(n, ej, degree) * cV).scale(fld.i)
+        jet = (cV * Jet.constant(n, degree, ej) * cV).scale(fld.i)
         if jet.is_zero():
             continue
         mono = tuple(1 if i == j else 0 for i in range(n))
@@ -517,10 +513,10 @@ def rescaled_dirac_symbols(s: Scenario, degree: int = 1) -> Symbol:
         dj = clifford_of_vector(s.V.row(j))
         if dj.is_zero():
             continue
-        sigma0 = sigma0 + cV * _jet_const(n, ej, degree) * _jet_const(n, dj, degree)
+        sigma0 = sigma0 + cV * Jet.constant(n, degree, ej) * Jet.constant(n, degree, dj)
     if not s.X.is_zero():
         cX = clifford_of_vector(s.X)
-        sigma0 = sigma0 + (cV * _jet_const(n, cX, degree) * cV).scale(fld.i)
+        sigma0 = sigma0 + (cV * Jet.constant(n, degree, cX) * cV).scale(fld.i)
     if not sigma0.is_zero():
         terms[((0,) * n, 0)] = sigma0
     return Symbol(n, degree, fld, terms)
@@ -535,8 +531,8 @@ def rescaled_dirac_square_sigma1_pieces(s: Scenario, degree: int = 1) -> Dict[st
     norm_gradient   : -i c(V) c(d|V|^2) sum_j c(e_j) c(V) xi_j
     """
     n, fld = s.n, s.field
-    cV = clifford_field_jet(s.V, fld, degree)
-    w2 = norm_sq_jet(s.V, fld, degree)
+    cV = clifford_field_jet(s.V, degree)
+    w2 = norm_sq_jet(s.V, degree)
     pieces: Dict[str, Symbol] = {}
 
     grad_terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
@@ -544,16 +540,16 @@ def rescaled_dirac_square_sigma1_pieces(s: Scenario, degree: int = 1) -> Dict[st
         dj = clifford_of_vector(s.V.row(j))
         if dj.is_zero():
             continue
-        jet = (w2 * cV * _jet_const(n, dj, degree)).scale(fld.i * fld.of(2))
+        jet = (w2 * cV * Jet.constant(n, degree, dj)).scale(fld.i * fld.of(2))
         mono = tuple(1 if i == j else 0 for i in range(n))
         grad_terms[(mono, 0)] = jet
     pieces["vector_gradient"] = Symbol(n, degree, fld, grad_terms)
 
     x_terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
     if not s.X.is_zero():
-        cX = _jet_const(n, clifford_of_vector(s.X), degree)
+        cX = Jet.constant(n, degree, clifford_of_vector(s.X))
         for j in range(n):
-            ej = _jet_const(n, CliffordElement.basis(n, j + 1, fld.one), degree)
+            ej = Jet.constant(n, degree, CliffordElement.basis(n, j + 1, fld.one))
             jet = w2 * cV * ej * cX * cV + w2 * cV * cX * ej * cV
             if jet.is_zero():
                 continue
@@ -562,11 +558,11 @@ def rescaled_dirac_square_sigma1_pieces(s: Scenario, degree: int = 1) -> Dict[st
     pieces["x_field"] = Symbol(n, degree, fld, x_terms)
 
     d_terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
-    c_d = d_norm_sq_clifford_jet(s.V, fld, degree)
+    c_d = d_norm_sq_clifford_jet(s.V, degree)
     if not c_d.is_zero():
         minus_i = fld.of(0) - fld.i
         for j in range(n):
-            ej = _jet_const(n, CliffordElement.basis(n, j + 1, fld.one), degree)
+            ej = Jet.constant(n, degree, CliffordElement.basis(n, j + 1, fld.one))
             jet = (cV * c_d * ej * cV).scale(minus_i)
             if jet.is_zero():
                 continue
@@ -583,7 +579,7 @@ def rescaled_dirac_square_symbols(
     plus the three first-order groups; Christoffel/connection terms vanish
     at the base point."""
     n, fld = s.n, s.field
-    w2 = norm_sq_jet(s.V, fld, degree)
+    w2 = norm_sq_jet(s.V, degree)
     w4 = w2 * w2
     sym = Symbol(n, degree, fld, {((0,) * n, 1): w4})
     if pieces is None:
@@ -602,7 +598,7 @@ def rescaled_dirac_inverse_closed_forms(
     q_{-3} = -|V|^{-8} |xi|^{-4} sigma_1(square) + 2i |xi|^{-4} xi_mu d_mu(|V|^{-4})
     """
     n, fld = s.n, s.field
-    w2 = norm_sq_jet(s.V, fld, degree)
+    w2 = norm_sq_jet(s.V, degree)
     w4 = w2 * w2
     w4_inv = invert_scalar_jet(w4, n, fld)
     w8_inv = w4_inv * w4_inv

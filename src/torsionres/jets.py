@@ -50,10 +50,6 @@ class Jet:
         return Jet(nvars, max_degree, {_zero_mono(nvars): coeff})
 
     @staticmethod
-    def zero(nvars: int, max_degree: int, dim: int) -> "Jet":
-        return Jet(nvars, max_degree, {})
-
-    @staticmethod
     def coordinate(nvars: int, max_degree: int, index: int, one_element: CliffordElement) -> "Jet":
         """The jet x_index (1-based) with the given unit coefficient."""
         mono = tuple(1 if k == index - 1 else 0 for k in range(nvars))
@@ -101,12 +97,6 @@ class Jet:
 
     def scale(self, s) -> "Jet":
         return Jet(self.nvars, self.max_degree, {m: c.scale(s) for m, c in self.terms.items()})
-
-    def left_mul_element(self, e: CliffordElement) -> "Jet":
-        return Jet(self.nvars, self.max_degree, {m: e * c for m, c in self.terms.items()})
-
-    def right_mul_element(self, e: CliffordElement) -> "Jet":
-        return Jet(self.nvars, self.max_degree, {m: c * e for m, c in self.terms.items()})
 
     # -- calculus ----------------------------------------------------------
 
@@ -172,14 +162,6 @@ class Jet:
             )
             parts.append(f"[{self.terms[mono]!r}]{('*' + xs) if xs else ''}")
         return "Jet(" + " + ".join(parts) + ")"
-
-
-def jet_multiply(a: Jet, b: Jet) -> Jet:
-    return a * b
-
-
-def jet_partial_x(a: Jet, mu: int) -> Jet:
-    return a.partial_x(mu)
 
 
 def invert_scalar_jet(j: Jet, dim: int, field) -> Jet:

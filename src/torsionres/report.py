@@ -63,6 +63,7 @@ class Comparison:
     right: DensityValue
     gating: bool
     tolerance: float
+    scale: float = 1.0  # float mode: the tolerance is relative to at least this
 
     @property
     def diff(self) -> complex:
@@ -72,7 +73,7 @@ class Comparison:
     def passed(self) -> bool:
         if self.tolerance == 0.0:
             return self.left.value == self.right.value
-        scale = max(1.0, abs(complex(self.left.value)), abs(complex(self.right.value)))
+        scale = max(self.scale, abs(complex(self.left.value)), abs(complex(self.right.value)))
         return abs(self.diff) <= self.tolerance * scale
 
     def to_json(self, mode: str) -> Dict:
@@ -132,6 +133,9 @@ def build_report(
     fld = s.field
     cmp_tol = 0.0 if s.mode == "exact" else tolerance
     breakdown: TermBreakdown = assemble_density(s, cmp_tol)
+    # float rounding follows the size of the terms, not of their sum, which
+    # cancels to about zero: gate relative to the largest term
+    gate_scale = max(abs(complex(breakdown.term(name).value)) for name in TERM_NAMES) or 1.0
     reference = reference_term_densities(s)
     printed = paper_term_densities(s)
 
@@ -153,6 +157,7 @@ def build_report(
                 right=reference[name],
                 gating=True,
                 tolerance=cmp_tol,
+                scale=gate_scale,
             )
         )
     comparisons.append(
@@ -162,6 +167,7 @@ def build_report(
             right=breakdown.composition_oracle,
             gating=True,
             tolerance=cmp_tol,
+            scale=gate_scale,
         )
     )
     zero = DensityValue(fld.of(0), s.m)
@@ -177,6 +183,7 @@ def build_report(
             right=zero,
             gating=True,
             tolerance=cmp_tol,
+            scale=gate_scale,
         )
     )
 

@@ -188,9 +188,6 @@ class GaussianRational:
         # int / int is correctly rounded, exactly as float(Fraction) is
         return complex(self._a / self._d, self._b / self._d)
 
-    def conjugate(self) -> "GaussianRational":
-        return _new(self._a, -self._b, self._d)
-
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
@@ -242,9 +239,6 @@ class _ExactField:
     def is_zero(self, x, tol: float = 0.0) -> bool:
         return not bool(x)
 
-    def mag(self, x) -> float:
-        return abs(complex(x))
-
     def eq(self, a, b, tol: float = 0.0) -> bool:
         return a == b
 
@@ -272,9 +266,6 @@ class _FloatField:
 
     def is_zero(self, x, tol: float = 1e-12) -> bool:
         return abs(complex(x)) <= tol
-
-    def mag(self, x) -> float:
-        return abs(complex(x))
 
     def eq(self, a, b, tol: float = 1e-12) -> bool:
         a, b = complex(a), complex(b)

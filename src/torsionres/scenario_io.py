@@ -29,12 +29,14 @@ as ``ScenarioError`` (the CLI maps them to exit code 2).
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .clifford import FrameVector
 from .geometry import CurvatureData, Scenario, VectorFieldJet
 from .scalars import field_for_mode
+from .torsion import TERM_NAMES
 
 
 class ScenarioError(ValueError):
@@ -54,6 +56,12 @@ def _parse_scalar(value, mode: str, path: str):
             raise ScenarioError(f"{path}: bad rational literal {value!r} ({exc})")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}: float mode needs numeric literals (got {value!r})")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ScenarioError(f"{path}: float mode needs finite numbers (got {value!r})")
     return fld.of(value)
 
 
@@ -116,7 +124,7 @@ def parse_scenario(doc: Dict) -> Tuple[Scenario, Optional[Tuple[str, Fraction]]]
                 raise ScenarioError(f"{path}.indices: expected four integer indices")
             try:
                 entries[tuple(idx)] = Fraction(ent["value"])
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
                 raise ScenarioError(f"{path}.value: bad rational ({exc})")
         try:
             curvature = CurvatureData.from_entries(n, entries)
@@ -128,9 +136,14 @@ def parse_scenario(doc: Dict) -> Tuple[Scenario, Optional[Tuple[str, Fraction]]]
         p = doc["perturb"]
         if not isinstance(p, dict) or "term" not in p or "delta" not in p:
             raise ScenarioError("perturb: expected {term, delta}")
+        if p["term"] not in TERM_NAMES:
+            raise ScenarioError(
+                f"perturb.term: unknown term {p['term']!r} "
+                f"(expected one of {', '.join(TERM_NAMES)})"
+            )
         try:
-            perturb = (str(p["term"]), Fraction(p["delta"]))
-        except (ValueError, ZeroDivisionError) as exc:
+            perturb = (p["term"], Fraction(p["delta"]))
+        except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
             raise ScenarioError(f"perturb.delta: bad rational ({exc})")
 
     try:

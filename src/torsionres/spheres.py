@@ -24,8 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Tuple
 
-from .clifford import CliffordElement
-
 
 def _validate(alpha: Sequence[int], n: int) -> Tuple[int, ...]:
     if n < 2:
@@ -79,29 +77,3 @@ def monomial_integral_closed_form(alpha: Sequence[int], n: int) -> float:
     for x in a:
         num *= math.gamma((x + 1) / 2.0)
     return num / math.gamma((sum(a) + n) / 2.0)
-
-
-def integrate_symbol_term_over_sphere(
-    coefficient: CliffordElement,
-    xi_exponents: Sequence[int],
-    norm_power: int,
-    n: int,
-    field,
-) -> CliffordElement:
-    """Integrate coefficient * xi^alpha * |xi|^{2k} over the unit cosphere.
-
-    The term must be homogeneous of degree -n (|alpha| + 2k = -n); on the
-    sphere |xi|^{2k} collapses to 1 and the monomial integrates by
-    ``monomial_integral``.  The returned element is the Clifford
-    coefficient scaled by the rational moment, understood as a multiple of
-    Vol(S^{n-1}).
-    """
-    a = _validate(xi_exponents, n)
-    if sum(a) + 2 * norm_power != -n:
-        raise ValueError(
-            f"term is homogeneous of degree {sum(a) + 2 * norm_power}, expected {-n}"
-        )
-    moment = monomial_integral(a, n)
-    if moment == 0:
-        return CliffordElement.zero(coefficient.dim)
-    return coefficient.scale(field.of(moment))

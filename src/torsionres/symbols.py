@@ -63,25 +63,18 @@ class Symbol:
         noise far beneath the 1e-9 comparison scale; keeping them densifies
         every later product.
         """
-        mx = 0.0
-        for jet in self.terms.values():
-            for elem in jet.terms.values():
-                m2 = elem.max_abs()
-                if m2 > mx:
-                    mx = m2
+        mx = _max_coefficient(self)
         if mx == 0.0:
             self.terms = {}
             return
         eps = rel * mx
-        from .clifford import CliffordElement as _CE
-
         pruned: Dict[TermKey, Jet] = {}
         for key, jet in self.terms.items():
             kept_jet = {}
             for mono, elem in jet.terms.items():
                 kept = {b: c for b, c in elem.terms.items() if abs(complex(c)) > eps}
                 if kept:
-                    kept_jet[mono] = _CE(elem.dim, kept)
+                    kept_jet[mono] = CliffordElement(elem.dim, kept)
             if kept_jet:
                 pruned[key] = Jet(jet.nvars, jet.max_degree, kept_jet)
         self.terms = pruned
@@ -121,12 +114,6 @@ class Symbol:
         return Symbol(
             self.nvars, self.max_degree, self.field,
             {k: j.scale(s) for k, j in self.terms.items()},
-        )
-
-    def left_mul_element(self, e: CliffordElement) -> "Symbol":
-        return Symbol(
-            self.nvars, self.max_degree, self.field,
-            {k: j.left_mul_element(e) for k, j in self.terms.items()},
         )
 
     def degrees(self) -> List[int]:
@@ -190,14 +177,6 @@ class Symbol:
             self.nvars, self.max_degree, self.field,
             {k: j.partial_x(mu) for k, j in self.terms.items()},
         )
-
-
-def symbol_partial_xi(s: Symbol, mu: int) -> Symbol:
-    return s.partial_xi(mu)
-
-
-def symbol_partial_x(s: Symbol, mu: int) -> Symbol:
-    return s.partial_x(mu)
 
 
 def symbol_product(a: Symbol, b: Symbol, lowest_degree: int | None = None) -> Symbol:
@@ -345,9 +324,7 @@ def symbol_invert_order2(p: Symbol, dim: int) -> Tuple[Symbol, Symbol]:
                 "leading quadratic form has a mixed xi_j xi_k term at the base point"
             )
 
-    from .clifford import CliffordElement as _CE
-
-    lead = base_jet + Jet.constant(nvars, max_degree, _CE.scalar(dim, lam))
+    lead = base_jet + Jet.constant(nvars, max_degree, CliffordElement.scalar(dim, lam))
     c0 = lead.value_at_origin(dim).coefficient(0)
     if c0 is None or not bool(c0):
         raise ValueError("leading symbol vanishes at the base point; cannot invert")
@@ -357,7 +334,7 @@ def symbol_invert_order2(p: Symbol, dim: int) -> Tuple[Symbol, Symbol]:
     n_terms: Dict[TermKey, Jet] = {}
     for mono, jet in quad.items():
         if max(mono) == 2 and sum(mono) == 2:
-            j = jet - Jet.constant(nvars, max_degree, _CE.scalar(dim, lam))
+            j = jet - Jet.constant(nvars, max_degree, CliffordElement.scalar(dim, lam))
         else:
             j = jet
         if not j.is_zero():
@@ -389,32 +366,40 @@ def symbol_invert_order2(p: Symbol, dim: int) -> Tuple[Symbol, Symbol]:
     return q2, q3
 
 
+def power_expansion(q2: Symbol, dq2: List[Symbol], m: int) -> Tuple[List[Symbol], Symbol]:
+    """The powers q_{-2}^0..q_{-2}^m and the power-cross sum
+
+        sum_{k=0}^{m-2} sum_mu d_xi_mu(q_{-2}^{m-k-1}) d_x_mu(q_{-2}) q_{-2}^k,
+
+    with ``dq2[mu - 1]`` the x-derivative d_x_mu(q_{-2}).  Only products are
+    taken, so symbols already evaluated at the base point stay there.
+    """
+    powers = [norm_squared_symbol(q2.nvars, q2.max_degree, q2.field, _symbol_dim(q2), 0)]
+    for _ in range(m):
+        powers.append(symbol_product(powers[-1], q2))
+    cross = Symbol.zero(q2.nvars, q2.max_degree, q2.field)
+    for k in range(0, m - 1):
+        for mu in range(1, q2.nvars + 1):
+            cross = cross + symbol_product(
+                symbol_product(powers[m - k - 1].partial_xi(mu), dq2[mu - 1]),
+                powers[k],
+            )
+    return powers, cross
+
+
 def inverse_power_symbols(q2: Symbol, q3: Symbol, m: int) -> Tuple[Symbol, Symbol]:
     """Degrees -2m and -2m-1 of the m-th power of a (q_{-2}+q_{-3}) inverse.
 
     s_{-2m}   = q_{-2}^m
-    s_{-2m-1} = m q_{-2}^{m-1} q_{-3}
-                - i sum_{k=0}^{m-2} sum_mu d_xi_mu(q_{-2}^{m-k-1}) d_x_mu(q_{-2}) q_{-2}^k
+    s_{-2m-1} = m q_{-2}^{m-1} q_{-3} - i (power-cross sum of ``power_expansion``)
     """
     if m < 2:
         raise ValueError(f"negative-power expansion needs m >= 2, got {m}")
     field = q2.field
-    powers = [norm_squared_symbol(q2.nvars, q2.max_degree, field, _symbol_dim(q2), 0)]
-    for _ in range(m):
-        powers.append(symbol_product(powers[-1], q2))
-    s2m = powers[m]
-    s2m1 = symbol_product(powers[m - 1], q3).scale(field.of(m))
     dq2 = [q2.partial_x(mu) for mu in range(1, q2.nvars + 1)]
-    ksum = Symbol.zero(q2.nvars, q2.max_degree, field)
-    for k in range(0, m - 1):
-        for mu in range(1, q2.nvars + 1):
-            piece = symbol_product(
-                symbol_product(powers[m - k - 1].partial_xi(mu), dq2[mu - 1]),
-                powers[k],
-            )
-            ksum = ksum + piece
-    s2m1 = s2m1 - ksum.scale(field.i)
-    return s2m, s2m1
+    powers, cross = power_expansion(q2, dq2, m)
+    s2m1 = symbol_product(powers[m - 1], q3).scale(field.of(m))
+    return powers[m], s2m1 - cross.scale(field.i)
 
 
 def power_by_composition(q2: Symbol, q3: Symbol, m: int) -> Tuple[Symbol, Symbol]:
@@ -499,5 +484,18 @@ def symbol_is_zero(s: Symbol, tol: float = 0.0) -> bool:
     return True
 
 
+def _max_coefficient(s: Symbol) -> float:
+    """The largest coefficient magnitude in a symbol, 0.0 if it is empty."""
+    mx = 0.0
+    for jet in s.terms.values():
+        for elem in jet.terms.values():
+            mx = max(mx, elem.max_abs())
+    return mx
+
+
 def symbols_equal(a: Symbol, b: Symbol, tol: float = 0.0) -> bool:
+    """Exact equality, or agreement within ``tol`` relative to the larger
+    operand's largest coefficient (at least 1.0) in float mode."""
+    if tol:
+        tol *= max(1.0, _max_coefficient(a), _max_coefficient(b))
     return symbol_is_zero(a - b, tol)

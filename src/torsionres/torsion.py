@@ -18,13 +18,21 @@ factor of c(V) the x-derivative hits.
 Everything is computed twice: term-by-term through the closed-form power
 expansion, and in one stroke through iterated symbol composition (the
 generic oracle).  The two must agree exactly in exact mode.
+
+Jets in x are carried only where an x-derivative is taken.  The term
+route differentiates q_{-2} (in the inverse-gradient fragment and the
+power-cross sum) and sigma_1(T) (in H3), so it builds the operator, its
+square and their inverse with first-order jets, takes those derivatives,
+and evaluates every symbol at the base point before forming any product.
+The oracle differentiates each right factor of a composition, so it keeps
+the right factors' jets and evaluates only the left factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .clifford import (
     CliffordElement,
@@ -42,20 +50,12 @@ from .geometry import (
     rescaled_dirac_symbols,
     rescaled_dirac_inverse_symbols,
 )
-from .scalars import field_for_mode
 from .jets import Jet
-from .reference import (
-    DensityValue,
-    paper_group_densities,
-    paper_term_densities,
-    reference_term_densities,
-    theorem_density,
-)
+from .reference import DensityValue, paper_group_densities, theorem_density
 from .spheres import monomial_integral
 from .symbols import (
     Symbol,
-    inverse_power_symbols,
-    norm_squared_symbol,
+    power_expansion,
     symbol_compose,
     symbol_invert_order2,
     symbol_product,
@@ -103,31 +103,28 @@ def trace_integrate(sym: Symbol, prefactor: CliffordElement, m: int, field) -> D
 
 @dataclass
 class PipelineSymbols:
-    """All intermediate symbols of one scenario's term-by-term run."""
+    """The base-point symbols that ``term_densities`` traces."""
 
-    dirac: Symbol
-    dirac_square: Symbol
-    q2: Symbol
-    q3: Symbol
+    dirac: Symbol  # sigma_1(T) + sigma_0(T)
     power_top: Symbol  # sigma_{-2m}
-    power_sub: Symbol  # sigma_{-2m-1}
-    sub_pieces: Dict[str, Symbol]
+    sub_pieces: Dict[str, Symbol]  # the five fragments of sigma_{-2m-1}
     k_pieces: Tuple[Symbol, Symbol]
-
-
-def _power_list(q2: Symbol, m: int, dim: int) -> List[Symbol]:
-    powers = [norm_squared_symbol(q2.nvars, q2.max_degree, q2.field, dim, 0)]
-    for _ in range(m):
-        powers.append(symbol_product(powers[-1], q2))
-    return powers
 
 
 def pipeline_symbols(s: Scenario, tol: float = 0.0) -> PipelineSymbols:
     """Build and cross-check every symbol the per-term pipeline needs.
 
-    The sub-leading power symbol is assembled from its five fragments and
-    asserted equal to the closed power-expansion formula; the H3 split is
-    asserted to recombine into -i sum_j d_xi(sigma_{-2m}) d_x(sigma_1).
+    The operator, its square and the inverse q_{-2}, q_{-3} are built with
+    first-order jets, because the geometry checks compare them as jets and
+    the densities need x-derivatives of two of them: d_x q_{-2} (the
+    inverse-gradient and power-cross fragments) and d_x sigma_1(T) (the
+    H3 recombination check).  Those derivatives are taken first; then every
+    symbol is evaluated at the base point before any product, since the
+    constant term of a jet product is the product of the constant terms.
+
+    The four fragments of sigma_{-2m-1} other than the power-cross sum are
+    asserted to add up to m q_{-2}^{m-1} q_{-3}; the H3 split is asserted to
+    recombine into -i sum_j d_xi(sigma_{-2m}) d_x(sigma_1).
     """
     n, m, fld = s.n, s.m, s.field
     dirac = rescaled_dirac_symbols(s)
@@ -135,49 +132,50 @@ def pipeline_symbols(s: Scenario, tol: float = 0.0) -> PipelineSymbols:
     dsq = rescaled_dirac_square_symbols(s, frags)
     q2, q3 = rescaled_dirac_inverse_symbols(s, tol, square=dsq, pieces=frags)
 
-    powers = _power_list(q2, m, n)
+    # the only x-derivatives, then everything at the base point
+    dq2 = [q2.partial_x(mu).evaluate_jets_at_origin() for mu in range(1, n + 1)]
+    sigma1 = dirac.take_degree(1)
+    dsigma1 = [sigma1.partial_x(mu) for mu in range(1, n + 1)]
+    q2 = q2.evaluate_jets_at_origin()
+    q3 = q3.evaluate_jets_at_origin()
+    p2 = dsq.take_degree(2)
+    dxi_p2 = [p2.partial_xi(mu).evaluate_jets_at_origin() for mu in range(1, n + 1)]
+
+    powers, cross = power_expansion(q2, dq2, m)
     power_top = powers[m]
-    power_sub_formula = inverse_power_symbols(q2, q3, m)[1]
 
     # five fragments of sigma_{-2m-1}
-    p2 = dsq.take_degree(2)
     minus_one = fld.of(-1)
+    minus_i = fld.of(0) - fld.i
     sub_pieces: Dict[str, Symbol] = {}
     head = powers[m - 1].scale(fld.of(m))
     for name, frag in frags.items():
+        frag = frag.evaluate_jets_at_origin()
         body = symbol_product(symbol_product(q2, frag), q2).scale(minus_one)
         sub_pieces[name] = symbol_product(head, body)
 
     grad = Symbol.zero(n, 1, fld)
-    for mu in range(1, n + 1):
-        grad = grad + symbol_product(p2.partial_xi(mu), q2.partial_x(mu))
+    for mu in range(n):
+        grad = grad + symbol_product(dxi_p2[mu], dq2[mu])
     sub_pieces["inverse_gradient"] = symbol_product(
         head, symbol_product(q2, grad).scale(fld.i)
     )
 
-    ksum = Symbol.zero(n, 1, fld)
-    dq2 = [q2.partial_x(mu) for mu in range(1, n + 1)]
-    for k in range(0, m - 1):
-        for mu in range(1, n + 1):
-            ksum = ksum + symbol_product(
-                symbol_product(powers[m - k - 1].partial_xi(mu), dq2[mu - 1]),
-                powers[k],
-            )
-    sub_pieces["power_cross"] = ksum.scale(fld.of(0) - fld.i)
-
     recombined = Symbol.zero(n, 1, fld)
     for piece in sub_pieces.values():
         recombined = recombined + piece
-    if not symbols_equal(recombined, power_sub_formula, tol):
+    if not symbols_equal(recombined, symbol_product(head, q3), tol):
         raise VerificationError(
-            "sub-leading power symbol: fragment sum does not match the "
-            "closed power-expansion formula"
+            "sub-leading power symbol: the fragments of the square and of its "
+            "inverse do not add up to m q_{-2}^{m-1} q_{-3}"
         )
+    sub_pieces["power_cross"] = cross.scale(minus_i)
 
     # H3 split by which c(V) factor receives the x-derivative
     cV0 = clifford_of_vector(s.V.value)
-    left_terms: Dict[int, Symbol] = {}
-    right_terms: Dict[int, Symbol] = {}
+    k1_sym = Symbol.zero(n, 1, fld)
+    k2_sym = Symbol.zero(n, 1, fld)
+    check = Symbol.zero(n, 1, fld)
     for mu in range(n):
         row = clifford_of_vector(s.V.row(mu))
         lt: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
@@ -192,34 +190,18 @@ def pipeline_symbols(s: Scenario, tol: float = 0.0) -> PipelineSymbols:
                 rt[(mono, 0)] = Jet.constant(
                     n, 1, clifford_product_seq([cV0, ej, row]).scale(fld.i)
                 )
-        left_terms[mu] = Symbol(n, 1, fld, lt)
-        right_terms[mu] = Symbol(n, 1, fld, rt)
-
-    minus_i = fld.of(0) - fld.i
-    k1_sym = Symbol.zero(n, 1, fld)
-    k2_sym = Symbol.zero(n, 1, fld)
-    check = Symbol.zero(n, 1, fld)
-    for mu in range(n):
         dxi_top = power_top.partial_xi(mu + 1)
-        k1_sym = k1_sym + symbol_product(dxi_top, left_terms[mu])
-        k2_sym = k2_sym + symbol_product(dxi_top, right_terms[mu])
-        check = check + symbol_product(dxi_top, dirac.take_degree(1).partial_x(mu + 1))
+        k1_sym = k1_sym + symbol_product(dxi_top, Symbol(n, 1, fld, lt))
+        k2_sym = k2_sym + symbol_product(dxi_top, Symbol(n, 1, fld, rt))
+        check = check + symbol_product(dxi_top, dsigma1[mu])
     k1_sym = k1_sym.scale(minus_i)
     k2_sym = k2_sym.scale(minus_i)
-    if not symbols_equal(
-        (k1_sym + k2_sym).evaluate_jets_at_origin(),
-        check.scale(minus_i).evaluate_jets_at_origin(),
-        tol,
-    ):
+    if not symbols_equal(k1_sym + k2_sym, check.scale(minus_i), tol):
         raise VerificationError("H3 split does not recombine at the base point")
 
     return PipelineSymbols(
-        dirac=dirac,
-        dirac_square=dsq,
-        q2=q2,
-        q3=q3,
+        dirac=dirac.evaluate_jets_at_origin(),
         power_top=power_top,
-        power_sub=power_sub_formula,
         sub_pieces=sub_pieces,
         k_pieces=(k1_sym, k2_sym),
     )
@@ -239,64 +221,48 @@ def term_densities(s: Scenario, tol: float = 0.0) -> Dict[str, DensityValue]:
     n, m, fld = s.n, s.m, s.field
     pipe = pipeline_symbols(s, tol)
     pre = torsion_prefactor_element(s)
-    sigma1_at0 = pipe.dirac.take_degree(1).evaluate_jets_at_origin()
-    sigma0_at0 = pipe.dirac.take_degree(0).evaluate_jets_at_origin()
+    sigma1 = pipe.dirac.take_degree(1)
+    sigma0 = pipe.dirac.take_degree(0)
 
     out: Dict[str, DensityValue] = {}
-    h1_sym = symbol_product(pipe.power_top.evaluate_jets_at_origin(), sigma0_at0)
+    h1_sym = symbol_product(pipe.power_top, sigma0)
     out["h1"] = trace_integrate(h1_sym.take_degree(-n), pre, m, fld)
 
     for piece_name, term_name in _SUB_PIECE_TO_TERM.items():
-        piece = pipe.sub_pieces[piece_name].evaluate_jets_at_origin()
-        sym = symbol_product(piece, sigma1_at0).take_degree(-n)
+        sym = symbol_product(pipe.sub_pieces[piece_name], sigma1).take_degree(-n)
         out[term_name] = trace_integrate(sym, pre, m, fld)
 
     for name, sym in zip(("k1", "k2"), pipe.k_pieces):
-        out[name] = trace_integrate(
-            sym.evaluate_jets_at_origin().take_degree(-n), pre, m, fld
-        )
+        out[name] = trace_integrate(sym.take_degree(-n), pre, m, fld)
     return out
 
 
-def h1_density(s: Scenario) -> DensityValue:
-    return term_densities(s)["h1"]
-
-
-def h2_density(s: Scenario) -> Tuple[DensityValue, ...]:
-    t = term_densities(s)
-    return tuple(t[k] for k in ("l1", "l2", "l3", "l4", "l5"))
-
-
-def h3_density(s: Scenario) -> Tuple[DensityValue, DensityValue]:
-    t = term_densities(s)
-    return t["k1"], t["k2"]
-
-
-def composition_oracle_density(s: Scenario, tol: float = 0.0) -> DensityValue:
-    """Fully generic route: compose, invert, power up by composition, trace.
+def _iterated_composition_density(
+    dirac: Symbol, prefactor: CliffordElement, m: int
+) -> DensityValue:
+    """Compose, invert, power up by composition, compose once more, trace.
 
     Left factors are evaluated at the base point before each composition;
     they never receive x-derivatives, so nothing downstream needs their
     jets.
     """
-    n, m, fld = s.n, s.m, s.field
-    dirac = rescaled_dirac_symbols(s)
+    n = 2 * m
     dsq = symbol_compose(dirac, dirac, 1)
     q2, q3 = symbol_invert_order2(dsq, n)
     q = q2 + q3
     acc = q
-    factors = 1
-    while factors < m:
-        factors += 1
+    for factors in range(2, m + 1):
         acc = symbol_compose(acc.evaluate_jets_at_origin(), q, -2 * factors - 1)
     total = symbol_compose(acc.evaluate_jets_at_origin(), dirac, -n).take_degree(-n)
-    pre = torsion_prefactor_element(s)
-    return trace_integrate(total.evaluate_jets_at_origin(), pre, m, fld)
+    return trace_integrate(total.evaluate_jets_at_origin(), prefactor, m, dirac.field)
 
 
-def closed_form_density(s: Scenario) -> DensityValue:
-    """The printed final closed form, (2m-3)/2 |V|^{-4m+2} (...)."""
-    return theorem_density(s)
+def composition_oracle_density(s: Scenario) -> DensityValue:
+    """Fully generic route for the rescaled operator: the iterated
+    composition of its symbol, traced against c(V)c(u)c(v)c(w)c(V)."""
+    return _iterated_composition_density(
+        rescaled_dirac_symbols(s), torsion_prefactor_element(s), s.m
+    )
 
 
 @dataclass
@@ -332,7 +298,7 @@ def assemble_density(s: Scenario, tol: float = 0.0) -> TermBreakdown:
     assembled = terms["h1"]
     for name in TERM_NAMES[1:]:
         assembled = assembled + terms[name]
-    oracle = composition_oracle_density(s, tol)
+    oracle = composition_oracle_density(s)
     groups = paper_group_densities(s)
     return TermBreakdown(
         **terms,
@@ -353,25 +319,13 @@ def plain_dirac_torsion_density(
     Runs the same generic composition route with prefactor c(u)c(v)c(w);
     in normal coordinates every contribution vanishes.
     """
-    n = 2 * m
-    fld = field_for_mode(mode)
     for vec in (u, v, w):
-        if vec.dim != n:
+        if vec.dim != 2 * m:
             raise ValueError("argument dimension mismatch")
-    dirac = plain_dirac_symbols(m, mode)
-    dsq = symbol_compose(dirac, dirac, 1)
-    q2, q3 = symbol_invert_order2(dsq, n)
-    q = q2 + q3
-    acc = q
-    factors = 1
-    while factors < m:
-        factors += 1
-        acc = symbol_compose(acc.evaluate_jets_at_origin(), q, -2 * factors - 1)
-    total = symbol_compose(acc.evaluate_jets_at_origin(), dirac, -n).take_degree(-n)
     pre = clifford_product_seq(
         [clifford_of_vector(u), clifford_of_vector(v), clifford_of_vector(w)]
     )
-    return trace_integrate(total.evaluate_jets_at_origin(), pre, m, fld)
+    return _iterated_composition_density(plain_dirac_symbols(m, mode), pre, m)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ from torsionres.symbols import (
 from torsionres.torsion import (
     TERM_NAMES,
     assemble_density,
-    closed_form_density,
     lemma33_trace_identity,
     lemma34_contraction,
     plain_dirac_torsion_density,
@@ -254,7 +253,7 @@ def test_criterion_08_theorem_end_to_end(derived_scenario, capsys):
     is emitted (the criterion's documented-discrepancy branch)."""
     t0 = time.time()
     bd = assemble_density(derived_scenario)
-    theorem = closed_form_density(derived_scenario)
+    theorem = theorem_density(derived_scenario)
     assert theorem.value == EXACT.of(1)
     assert abs(theorem.float_total() - 78.95683520871486) <= 1e-9
     assert bd.assembled.value == bd.composition_oracle.value == EXACT.of(0)

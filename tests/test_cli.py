@@ -1,12 +1,18 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from torsionres.clifford import FrameVector
 from torsionres.cli import main
+from torsionres.geometry import Scenario, VectorFieldJet, random_scenario
 from torsionres.report import build_report, density_from_json, report_to_text
-from torsionres.scalars import EXACT
+from torsionres.scalars import EXACT, FLOAT
 from torsionres.scenario_io import ScenarioError, load_scenario, parse_scenario
+from torsionres.torsion import TERM_NAMES, term_densities
 
 DERIVED = {
     "schema": 1,
@@ -213,3 +219,99 @@ def test_float_mode_report(tmp_path):
     rep = build_report(scenario, tolerance=1e-9)
     assert rep["pass"] is True
     assert abs(rep["theorem"]["value"]["re"] - 78.95683520871486) <= 1e-6
+
+
+# -- front door: input errors exit 2 before any computation ----------------------
+
+
+def test_cli_unknown_perturb_term(tmp_path, capsys):
+    doc = json.loads(json.dumps(DERIVED))
+    doc["perturb"] = {"term": "zz", "delta": "1/7"}
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert "perturb.term" in captured.err and "'zz'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("literal", [float("nan"), float("inf"), float("-inf")])
+def test_cli_non_finite_float_literal(tmp_path, capsys, literal):
+    doc = json.loads(json.dumps(DERIVED))
+    doc["mode"] = "float"
+    doc["V"]["value"] = [1.0, 0.0, 0.0, 0.0]
+    doc["V"]["jacobian"] = [[0.0] * 4, [1.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4]
+    for key in ("X", "u", "v", "w"):
+        doc[key] = [float(Fraction(c)) for c in doc[key]]
+    doc["X"][2] = literal
+    path = write_scenario(tmp_path, doc)  # json writes NaN / Infinity
+    assert main(["run", "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert "X[2]" in captured.err and "finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "field, entry",
+    [
+        ("perturb", {"term": "l4", "delta": float("inf")}),
+        ("perturb", {"term": "l4", "delta": [1]}),
+        ("curvature", [{"indices": [1, 2, 1, 2], "value": float("inf")}]),
+    ],
+)
+def test_cli_bad_rational_fields(tmp_path, capsys, field, entry):
+    doc = json.loads(json.dumps(DERIVED))
+    doc[field] = entry
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err and "bad rational" in captured.err
+
+
+def test_cli_out_into_missing_directory(tmp_path, capsys):
+    path = write_scenario(tmp_path, DERIVED)
+    out_path = tmp_path / "missing" / "report.json"
+    assert main(["run", "--scenario", path, "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err and captured.out == ""
+    assert not out_path.exists()
+
+
+# -- float mode against exact mode at scaled |V| ---------------------------------
+
+
+def _scaled(s: Scenario, lam, field) -> Scenario:
+    """s with V (value and Jacobian) multiplied by lam, in ``field``."""
+
+    def vec(v):
+        return FrameVector(v.dim, tuple(field.of(c) for c in v.components))
+
+    lam = field.of(lam)
+    jac = tuple(tuple(lam * field.of(c) for c in row) for row in s.V.jacobian)
+    return Scenario(
+        m=s.m, mode=field.kind,
+        V=VectorFieldJet(vec(s.V.value).scale(lam), jac),
+        X=vec(s.X), u=vec(s.u), v=vec(s.v), w=vec(s.w),
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=-3, max_value=2),
+    st.fractions(min_value=1, max_value=10, max_denominator=9),
+)
+def test_float_report_holds_at_scaled_v(seed, exponent, mantissa):
+    """|V| scaled by 1e-3..1e3: the float report passes its gating, and each
+    float term agrees with the exact term to 1e-9 relative to the largest
+    exact term (single terms may cancel to zero)."""
+    base = random_scenario(2, "exact", random.Random(seed))
+    lam = mantissa * Fraction(10) ** exponent
+    exact = term_densities(_scaled(base, lam, EXACT))
+    s_float = _scaled(base, lam, FLOAT)
+    doc = build_report(s_float, tolerance=1e-9)
+    assert doc["pass"] is True
+    # terms scale as |V|^{-4m+4}; that is their size if all of them vanish
+    scale = max(abs(complex(exact[name].value)) for name in TERM_NAMES) or float(lam) ** -4
+    for name in TERM_NAMES:
+        got = density_from_json(doc["terms"][name], 2, "float").value
+        assert abs(got - complex(exact[name].value)) <= 1e-9 * scale, name

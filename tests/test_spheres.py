@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsionres.clifford import CliffordElement
+from torsionres.jets import Jet
 from torsionres.scalars import EXACT
 from torsionres.spheres import (
-    integrate_symbol_term_over_sphere,
     monomial_integral,
     monomial_integral_closed_form,
     sphere_volume,
 )
+from torsionres.symbols import Symbol
+from torsionres.torsion import trace_integrate
 
 
 def test_base_and_quadratic_moments():
@@ -73,20 +75,28 @@ def test_sum_rule_and_permutation_symmetry(seed):
     assert monomial_integral(tuple(perm), n) == monomial_integral(alpha, n)
 
 
+def _single_term(coeff: CliffordElement, xi_exponents, norm_power: int) -> Symbol:
+    return Symbol(4, 1, EXACT, {(xi_exponents, norm_power): Jet.constant(4, 1, coeff)})
+
+
 def test_integrate_symbol_term():
+    """One term A xi^alpha |xi|^{2k} through ``trace_integrate``: with a unit
+    prefactor the density is the trace of A, 2^m A, times the moment, over
+    2^m."""
     coeff = CliffordElement.scalar(4, EXACT.of(3))
+    unit = CliffordElement.scalar(4, EXACT.one)
     # odd monomial integrates to zero
-    out = integrate_symbol_term_over_sphere(coeff, (1, 1, 0, 0), -3, 4, EXACT)
-    assert out.is_zero()
+    out = trace_integrate(_single_term(coeff, (1, 1, 0, 0), -3), unit, 2, EXACT)
+    assert out.value == EXACT.of(0)
     # pure norm power: A |xi|^{-4} -> A * Vol
-    out = integrate_symbol_term_over_sphere(coeff, (0, 0, 0, 0), -2, 4, EXACT)
-    assert out == coeff
+    out = trace_integrate(_single_term(coeff, (0, 0, 0, 0), -2), unit, 2, EXACT)
+    assert out.value == EXACT.of(3)
     # A xi_1^2 |xi|^{-6} -> A / 4 * Vol
-    out = integrate_symbol_term_over_sphere(coeff, (2, 0, 0, 0), -3, 4, EXACT)
-    assert out == coeff.scale(EXACT.of(Fraction(1, 4)))
+    out = trace_integrate(_single_term(coeff, (2, 0, 0, 0), -3), unit, 2, EXACT)
+    assert out.value == EXACT.of(Fraction(3, 4))
 
 
 def test_integrate_rejects_wrong_homogeneity():
-    coeff = CliffordElement.scalar(4, EXACT.one)
+    unit = CliffordElement.scalar(4, EXACT.one)
     with pytest.raises(ValueError):
-        integrate_symbol_term_over_sphere(coeff, (2, 0, 0, 0), -2, 4, EXACT)
+        trace_integrate(_single_term(unit, (2, 0, 0, 0), -2), unit, 2, EXACT)

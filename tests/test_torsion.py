@@ -18,11 +18,7 @@ from torsionres.scalars import EXACT
 from torsionres.torsion import (
     TERM_NAMES,
     assemble_density,
-    closed_form_density,
     composition_oracle_density,
-    h1_density,
-    h2_density,
-    h3_density,
     lemma34_contraction,
     plain_dirac_torsion_density,
     term_densities,
@@ -107,10 +103,10 @@ def test_derived_scenario_assembly(derived_scenario):
 
 
 def test_closed_form_density_values(derived_scenario):
-    assert closed_form_density(derived_scenario).value == EXACT.of(1)
+    assert theorem_density(derived_scenario).value == EXACT.of(1)
     # d|V|^2 = 0 -> closed form 0
     s0 = _scenario(2, (1, 0, 0, 0), {}, (0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0))
-    assert closed_form_density(s0).value == EXACT.of(0)
+    assert theorem_density(s0).value == EXACT.of(0)
 
 
 def test_closed_form_scaling(derived_scenario):
@@ -125,7 +121,7 @@ def test_closed_form_scaling(derived_scenario):
         X=s.X, u=s.u, v=s.v, w=s.w,
     )
     # homogeneity degree -4m+4 in V
-    assert closed_form_density(scaled).value == closed_form_density(s).value * Fraction(1, 16)
+    assert theorem_density(scaled).value == theorem_density(s).value * Fraction(1, 16)
 
 
 # -- constant V ---------------------------------------------------------------
@@ -180,12 +176,12 @@ def test_assembled_equals_composition_oracle_and_vanishes(m):
         assert bd.assembled.value.im == 0  # reality
 
 
-def test_h_group_accessors(derived_scenario):
-    assert h1_density(derived_scenario).value == EXACT.of(1)
-    l_terms = h2_density(derived_scenario)
+def test_h_groups_from_term_densities(derived_scenario):
+    td = term_densities(derived_scenario)
+    assert td["h1"].value == EXACT.of(1)
+    l_terms = [td[name] for name in ("l1", "l2", "l3", "l4", "l5")]
     assert [t.value for t in l_terms] == [EXACT.of(v) for v in (-1, 0, -4, 4, 2)]
-    k1, k2 = h3_density(derived_scenario)
-    assert (k1.value, k2.value) == (EXACT.of(-1), EXACT.of(-1))
+    assert (td["k1"].value, td["k2"].value) == (EXACT.of(-1), EXACT.of(-1))
 
 
 def test_x_independence():
