@@ -91,6 +91,14 @@ class CliffordElement:
         self.dim = dim
         self.terms = {m: c for m, c in (terms or {}).items() if bool(c)}
 
+    @classmethod
+    def _trusted(cls, dim: int, terms: Dict[int, object]) -> "CliffordElement":
+        """Wrap ``terms`` as they are: the caller guarantees no zero coefficient."""
+        out = cls.__new__(cls)
+        out.dim = dim
+        out.terms = terms
+        return out
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
@@ -128,7 +136,8 @@ class CliffordElement:
         return self + (-other)
 
     def __neg__(self) -> "CliffordElement":
-        return CliffordElement(self.dim, {m: -c for m, c in self.terms.items()})
+        # negating a nonzero coefficient cannot give zero
+        return CliffordElement._trusted(self.dim, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "CliffordElement":
         if isinstance(other, CliffordElement):
@@ -140,6 +149,7 @@ class CliffordElement:
         return self.scale(other)
 
     def scale(self, s) -> "CliffordElement":
+        # keeps the zero filter: a float product can underflow to zero
         if not bool(s):
             return CliffordElement(self.dim)
         return CliffordElement(self.dim, {m: s * c for m, c in self.terms.items()})
@@ -188,13 +198,14 @@ def clifford_product(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     out: Dict[int, object] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
-            sign = blade_product_sign(ma, mb)
             coeff = ca * cb
-            if sign < 0:
-                coeff = -coeff
             m = ma ^ mb
             s = out.get(m)
-            out[m] = coeff if s is None else s + coeff
+            # fold the blade sign into the accumulation
+            if blade_product_sign(ma, mb) < 0:
+                out[m] = -coeff if s is None else s - coeff
+            else:
+                out[m] = coeff if s is None else s + coeff
     return CliffordElement(a.dim, out)
 
 

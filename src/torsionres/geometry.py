@@ -405,7 +405,7 @@ class Scenario:
         if self.V.dim != n:
             raise ValueError(f"V has dimension {self.V.dim}, expected {n}")
         if not bool(self.V.norm_sq()):
-            raise ValueError("vector field V is not zero: |V|^2 must be positive")
+            raise ValueError("vector field V is zero: |V|^2 must be positive")
         if self.curvature is not None and self.curvature.n != n:
             raise ValueError("curvature dimension mismatch")
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -63,6 +64,23 @@ def _parse_scalar(value, mode: str, path: str):
     if not finite:
         raise ScenarioError(f"{path}: float mode needs finite numbers (got {value!r})")
     return fld.of(value)
+
+
+def _check_float_range(norm_sq, m: int):
+    """Float mode: |V|^2 and the powers of it that the pipeline forms, from
+    |V|^4 (the square's leading symbol) down to |V|^{-4m-4} (q_{-2}^{m-1}
+    times the |V|^{-8} of q_{-3}), must be finite normal floats."""
+    w = abs(complex(norm_sq))
+    for k in (1, 2, -2 * m - 2):
+        try:
+            power = w**k
+        except (OverflowError, ZeroDivisionError):
+            power = math.inf
+        if not sys.float_info.min <= power <= sys.float_info.max:
+            raise ScenarioError(
+                f"V.value: |V|^2 = {w:.3g} is out of float range: "
+                f"|V|^{2 * k} overflows or underflows"
+            )
 
 
 def _parse_vector(obj, n: int, mode: str, path: str) -> FrameVector:
@@ -103,8 +121,11 @@ def parse_scenario(doc: Dict) -> Tuple[Scenario, Optional[Tuple[str, Fraction]]]
         )
         for j, row in enumerate(jac_obj)
     )
-    if not bool(value.dot(value)):
-        raise ScenarioError("V.value: vector field V is not zero -- |V|^2 must be positive")
+    norm_sq = value.dot(value)
+    if mode == "float" and not value.is_zero():
+        _check_float_range(norm_sq, m)
+    if not bool(norm_sq):
+        raise ScenarioError("V.value: vector field V is zero: |V|^2 must be positive")
 
     vectors = {
         name: _parse_vector(doc.get(name), n, mode, name) for name in ("X", "u", "v", "w")

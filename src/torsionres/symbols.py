@@ -213,14 +213,23 @@ def _alpha_iter(nvars: int, order: int) -> Iterable[Tuple[Tuple[int, ...], int]]
         yield mus, fact
 
 
-def symbol_compose(p: Symbol, q: Symbol, lowest_degree: int) -> Symbol:
+def symbol_compose(
+    p: Symbol, q: Symbol, lowest_degree: int, *, at_origin: bool = False
+) -> Symbol:
     """Composition formula, truncated below ``lowest_degree``.
 
     The alpha-sum is finite: each xi-derivative lowers the degree of p by
     one, and x-derivatives annihilate q's jets beyond their truncation
     order.
+
+    With ``at_origin`` the result is the composition evaluated at the base
+    point: p and each d_x^alpha q are evaluated there before their product,
+    which is exact because the constant term of a jet product is the
+    product of the constant terms.
     """
     p._check(q)
+    if at_origin:
+        p = p.evaluate_jets_at_origin()
     if not p.terms or not q.terms:
         return Symbol.zero(p.nvars, p.max_degree, p.field)
     hi_p = max(p.degrees())
@@ -239,6 +248,8 @@ def symbol_compose(p: Symbol, q: Symbol, lowest_degree: int) -> Symbol:
             dq = q
             for mu in mus:
                 dq = dq.partial_x(mu)
+            if at_origin:
+                dq = dq.evaluate_jets_at_origin()
             if not dq.terms:
                 continue
             dp = p
@@ -271,6 +282,11 @@ def symbol_invert_order2(p: Symbol, dim: int) -> Tuple[Symbol, Symbol]:
 
         q_{-2} = p_2^{-1}
         q_{-3} = -q_{-2} ( p_1 q_{-2} - i sum_j d_xi_j(p_2) d_x_j(q_{-2}) ).
+
+    q_{-2} is exact to the jet order ``max_degree``.  q_{-3} contains
+    d_x q_{-2}, which is known only to order ``max_degree - 1``, so q_{-3}
+    is returned to that order (its jets carry nothing beyond it): at the
+    base point for linear jets, through first order for quadratic ones.
 
     p_2 may carry its flat part either as jet * |xi|^2 or spread over
     quadratic monomials A_jk(x) xi_j xi_k; invertibility at the base point
@@ -357,12 +373,18 @@ def symbol_invert_order2(p: Symbol, dim: int) -> Tuple[Symbol, Symbol]:
     else:
         q2 = base_inv
 
-    bracket = symbol_product(p1, q2)
+    # d_x q_{-2} is known only to order max_degree - 1, so q_{-3} is formed
+    # from factors truncated to that order and kept to it
+    valid = max_degree - 1
+    q2_low = q2.truncate_jets(valid)
+    bracket = symbol_product(p1.truncate_jets(valid), q2_low)
     corr = Symbol.zero(nvars, max_degree, field)
     for mu in range(1, nvars + 1):
-        corr = corr + symbol_product(p2.partial_xi(mu), q2.partial_x(mu))
+        corr = corr + symbol_product(
+            p2.partial_xi(mu).truncate_jets(valid), q2.partial_x(mu)
+        )
     bracket = bracket - corr.scale(field.i)
-    q3 = symbol_product(q2, bracket).scale(field.of(-1))
+    q3 = symbol_product(q2_low, bracket).scale(field.of(-1)).truncate_jets(valid)
     return q2, q3
 
 

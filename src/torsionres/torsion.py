@@ -24,8 +24,12 @@ route differentiates q_{-2} (in the inverse-gradient fragment and the
 power-cross sum) and sigma_1(T) (in H3), so it builds the operator, its
 square and their inverse with first-order jets, takes those derivatives,
 and evaluates every symbol at the base point before forming any product.
-The oracle differentiates each right factor of a composition, so it keeps
-the right factors' jets and evaluates only the left factors.
+The oracle composes the operator with itself with full jets, because
+the inverse of the square differentiates q_{-2}.  Every later composition
+(the powers of q_{-2} + q_{-3} and the last one with the operator) is
+taken at the base point: its left factor and each x-derivative of its
+right factor are evaluated there before their product, so the right
+factor's jets serve only its x-derivatives.
 """
 
 from __future__ import annotations
@@ -136,8 +140,7 @@ def pipeline_symbols(s: Scenario, tol: float = 0.0) -> PipelineSymbols:
     dq2 = [q2.partial_x(mu).evaluate_jets_at_origin() for mu in range(1, n + 1)]
     sigma1 = dirac.take_degree(1)
     dsigma1 = [sigma1.partial_x(mu) for mu in range(1, n + 1)]
-    q2 = q2.evaluate_jets_at_origin()
-    q3 = q3.evaluate_jets_at_origin()
+    q2 = q2.evaluate_jets_at_origin()  # q3 comes at the base point already
     p2 = dsq.take_degree(2)
     dxi_p2 = [p2.partial_xi(mu).evaluate_jets_at_origin() for mu in range(1, n + 1)]
 
@@ -242,9 +245,8 @@ def _iterated_composition_density(
 ) -> DensityValue:
     """Compose, invert, power up by composition, compose once more, trace.
 
-    Left factors are evaluated at the base point before each composition;
-    they never receive x-derivatives, so nothing downstream needs their
-    jets.
+    Only the square keeps its jets, because the inverse differentiates
+    q_{-2}.  Every later composition is taken at the base point.
     """
     n = 2 * m
     dsq = symbol_compose(dirac, dirac, 1)
@@ -252,9 +254,9 @@ def _iterated_composition_density(
     q = q2 + q3
     acc = q
     for factors in range(2, m + 1):
-        acc = symbol_compose(acc.evaluate_jets_at_origin(), q, -2 * factors - 1)
-    total = symbol_compose(acc.evaluate_jets_at_origin(), dirac, -n).take_degree(-n)
-    return trace_integrate(total.evaluate_jets_at_origin(), prefactor, m, dirac.field)
+        acc = symbol_compose(acc, q, -2 * factors - 1, at_origin=True)
+    total = symbol_compose(acc, dirac, -n, at_origin=True).take_degree(-n)
+    return trace_integrate(total, prefactor, m, dirac.field)
 
 
 def composition_oracle_density(s: Scenario) -> DensityValue:

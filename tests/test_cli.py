@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsionres.clifford import FrameVector
+from torsionres.checks import scenario_invariant_suite
 from torsionres.cli import main
 from torsionres.geometry import Scenario, VectorFieldJet, random_scenario
 from torsionres.report import build_report, density_from_json, report_to_text
@@ -54,7 +55,7 @@ def test_load_well_formed(tmp_path):
 def test_zero_v_rejected():
     doc = json.loads(json.dumps(DERIVED))
     doc["V"]["value"] = ["0", "0", "0", "0"]
-    with pytest.raises(ScenarioError, match="vector field V is not zero"):
+    with pytest.raises(ScenarioError, match="vector field V is zero"):
         parse_scenario(doc)
 
 
@@ -158,7 +159,7 @@ def test_cli_usage_errors(tmp_path, capsys):
     path = write_scenario(tmp_path, bad, "bad.json")
     assert main(["run", "--scenario", path]) == 2
     err = capsys.readouterr().err
-    assert "vector field V is not zero" in err
+    assert "vector field V is zero" in err
 
 
 def test_cli_determinism(tmp_path, capsys):
@@ -276,6 +277,23 @@ def test_cli_out_into_missing_directory(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("value", [1e200, 1e-200])
+def test_cli_float_out_of_range_v(tmp_path, capsys, value):
+    """|V|^2 or a power of it that the pipeline forms is not a finite
+    nonzero float: a usage error, not a traceback."""
+    doc = json.loads(json.dumps(DERIVED))
+    doc["mode"] = "float"
+    doc["V"]["value"] = [value, 0.0, 0.0, 0.0]
+    doc["V"]["jacobian"] = [[0.0] * 4, [1.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4]
+    for key in ("X", "u", "v", "w"):
+        doc[key] = [float(Fraction(c)) for c in doc[key]]
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert "V.value" in captured.err and "overflow" in captured.err
+    assert captured.out == ""
+
+
 # -- float mode against exact mode at scaled |V| ---------------------------------
 
 
@@ -315,3 +333,14 @@ def test_float_report_holds_at_scaled_v(seed, exponent, mantissa):
     for name in TERM_NAMES:
         got = density_from_json(doc["terms"][name], 2, "float").value
         assert abs(got - complex(exact[name].value)) <= 1e-9 * scale, name
+
+
+def test_float_sweep_invariants_hold_at_scaled_v():
+    """The sweep invariants judge float values relative to the largest term:
+    at |V| scaled by 1e-2 the terms are about 1e8 while the assembled
+    density cancels to about 0."""
+    rng = random.Random(5)
+    for _ in range(3):
+        s = _scaled(random_scenario(2, "float", rng), 1e-2, FLOAT)
+        out = scenario_invariant_suite(s, random.Random(1), 1e-9)
+        assert out.passed, [line for line in out.lines if line.startswith("FAIL")]

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from torsionres.clifford import CliffordElement
-from torsionres.geometry import random_scenario, rescaled_dirac_square_symbols
+from torsionres.geometry import (
+    build_metric_jets,
+    laplacian_symbol,
+    random_curvature,
+    random_scenario,
+    rescaled_dirac_square_symbols,
+    rescaled_dirac_symbols,
+)
 from torsionres.jets import Jet
 from torsionres.scalars import EXACT
 from torsionres.symbols import (
@@ -186,3 +193,69 @@ def test_derivations_are_leibniz():
                 + symbol_product(a, b.partial_x(mu))
             ).truncate_jets(1)
             assert symbols_equal(lhs, rhs)
+
+
+# -- base-point composition and the valid order of q_{-3} ------------------------
+
+
+def _at_origin_matches(p, q, lowest_degree):
+    """symbol_compose at the base point equals the full composition
+    evaluated there, term for term."""
+    fast = symbol_compose(p, q, lowest_degree, at_origin=True)
+    full = symbol_compose(p, q, lowest_degree).evaluate_jets_at_origin()
+    assert fast.terms == full.terms
+    return fast
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_compose_at_origin_on_oracle_inputs(m):
+    """The composition oracle's own inputs: the powers acc o q and the last
+    composition acc o dirac, with the exact rescaled operator."""
+    s = random_scenario(m, "exact", random.Random(300 + m))
+    dirac = rescaled_dirac_symbols(s)
+    q2, q3 = symbol_invert_order2(symbol_compose(dirac, dirac, 1), s.n)
+    q = q2 + q3
+    acc = q
+    for factors in range(2, m + 1):
+        acc = _at_origin_matches(acc, q, -2 * factors - 1)
+        assert acc.terms
+    assert _at_origin_matches(acc, dirac, -s.n).take_degree(-s.n).terms
+
+
+def test_compose_at_origin_on_laplacian_jets():
+    """Quadratic jets: x-derivatives of order two reach the right factor."""
+    curv = random_curvature(N, random.Random(41))
+    lap = laplacian_symbol(build_metric_jets(curv))
+    assert _at_origin_matches(lap, lap, 2).terms
+    q2, q3 = symbol_invert_order2(lap, N)
+    assert _at_origin_matches(q2 + q3, lap, -1).terms
+
+
+def _q3_full_formula(p, q2):
+    """q_{-3} = -q_{-2} (p_1 q_{-2} - i sum_j d_xi_j(p_2) d_x_j(q_{-2})) with
+    every factor at its full jet order."""
+    p1, p2 = p.take_degree(1), p.take_degree(2)
+    corr = Symbol.zero(p.nvars, p.max_degree, p.field)
+    for mu in range(1, p.nvars + 1):
+        corr = corr + symbol_product(p2.partial_xi(mu), q2.partial_x(mu))
+    bracket = symbol_product(p1, q2) - corr.scale(p.field.i)
+    return symbol_product(q2, bracket).scale(p.field.of(-1))
+
+
+def _check_q3_valid_order(p):
+    q2, q3 = symbol_invert_order2(p, p.nvars)
+    expect = _q3_full_formula(p, q2).truncate_jets(p.max_degree - 1)
+    assert q3.terms and q3.terms == expect.terms
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_q3_is_full_formula_to_valid_order_rescaled(m):
+    rng = random.Random(310 + m)
+    for _ in range(2):
+        _check_q3_valid_order(rescaled_dirac_square_symbols(random_scenario(m, "exact", rng)))
+
+
+def test_q3_is_full_formula_to_valid_order_laplacian():
+    rng = random.Random(43)
+    for n in (4, 6):
+        _check_q3_valid_order(laplacian_symbol(build_metric_jets(random_curvature(n, rng))))
