@@ -9,6 +9,15 @@ generators in strictly increasing index order, encoded as bitmasks (bit k
 set means generator e_{k+1} participates).  Elements are sparse maps from
 blades to scalars; products are computed by sign-tracked transpositions.
 
+When every coefficient of both factors is an exact ``GaussianRational``,
+the product runs on integers: each factor is written over the least common
+denominator of its coefficients, the Gaussian-integer numerators landing
+on each output blade are summed as plain ints under the cached blade sign,
+and each output blade is brought to normal form once.  That is one gcd
+per output blade rather than one per coefficient pair.  Float factors go
+through the scalar operations, and so do mixed exact/float factors, which
+raise ``TypeError`` there.
+
 The fiberwise trace is the spinor-space trace: on a 2m-dimensional frame
 the identity traces to 2^m and every non-empty blade traces to zero.
 """
@@ -17,7 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from typing import Dict, Sequence, Tuple
+
+from .scalars import GaussianRational, _reduced
 
 
 @lru_cache(maxsize=None)
@@ -129,8 +141,16 @@ class CliffordElement:
         out = dict(self.terms)
         for m, c in other.terms.items():
             s = out.get(m)
-            out[m] = c if s is None else s + c
-        return CliffordElement(self.dim, out)
+            if s is None:
+                # a coefficient from one side alone is already nonzero
+                out[m] = c
+            else:
+                s = s + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return CliffordElement._trusted(self.dim, out)
 
     def __sub__(self, other: "CliffordElement") -> "CliffordElement":
         return self + (-other)
@@ -192,9 +212,31 @@ def clifford_of_vector(v: FrameVector) -> CliffordElement:
     return CliffordElement(v.dim, terms)
 
 
+def _gaussian_numerators(terms: Dict[int, object]):
+    """``([(mask, a, b), ...], d)`` with every coefficient equal to ``(a + b i)/d``.
+
+    ``d`` is the least common denominator of the coefficients.  Returns
+    ``None`` unless every coefficient is a ``GaussianRational``.
+    """
+    d = 1
+    for c in terms.values():
+        if type(c) is not GaussianRational:
+            return None
+        if c._d != d:
+            d = lcm(d, c._d)
+    return [
+        (m, c._a, c._b) if c._d == d else (m, c._a * (d // c._d), c._b * (d // c._d))
+        for m, c in terms.items()
+    ], d
+
+
 def clifford_product(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     """Bilinear product under the relation c(e_i)c(e_j)+c(e_j)c(e_i) = -2 delta_ij."""
     a._check(b)
+    na = _gaussian_numerators(a.terms)
+    nb = _gaussian_numerators(b.terms) if na is not None else None
+    if nb is not None:
+        return _exact_product(a.dim, na, nb)
     out: Dict[int, object] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
@@ -207,6 +249,35 @@ def clifford_product(a: CliffordElement, b: CliffordElement) -> CliffordElement:
             else:
                 out[m] = coeff if s is None else s + coeff
     return CliffordElement(a.dim, out)
+
+
+def _exact_product(dim: int, na, nb) -> CliffordElement:
+    """The product of two exact elements given by ``_gaussian_numerators``.
+
+    Gaussian-integer numerators are summed per output blade as plain ints
+    and each blade is brought to normal form once, over ``da * db``.
+    """
+    (xs, da), (ys, db) = na, nb
+    acc: Dict[int, list] = {}
+    sign = blade_product_sign
+    for ma, xa, ya in xs:
+        for mb, xb, yb in ys:
+            r = xa * xb - ya * yb
+            i = xa * yb + ya * xb
+            if sign(ma, mb) < 0:
+                r = -r
+                i = -i
+            m = ma ^ mb
+            s = acc.get(m)
+            if s is None:
+                acc[m] = [r, i]
+            else:
+                s[0] += r
+                s[1] += i
+    d = da * db
+    return CliffordElement._trusted(
+        dim, {m: _reduced(r, i, d) for m, (r, i) in acc.items() if r or i}
+    )
 
 
 def clifford_product_seq(factors: Sequence[CliffordElement]) -> CliffordElement:

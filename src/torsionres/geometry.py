@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from .clifford import CliffordElement, FrameVector, clifford_of_vector
 from .jets import Jet, invert_scalar_jet
 from .scalars import EXACT, field_for_mode
-from .symbols import Symbol, symbol_invert_order2, symbols_equal
+from .symbols import Symbol, symbol_invert_order2, symbol_residual, symbols_equal
 
 
 class VerificationError(AssertionError):
@@ -642,12 +642,18 @@ def rescaled_dirac_inverse_symbols(
     q2, q3 = symbol_invert_order2(square, s.n)
     q2_closed, q3_closed = rescaled_dirac_inverse_closed_forms(s, pieces, degree)
     if not symbols_equal(q2, q2_closed, tol):
-        raise VerificationError("q_{-2} recursion does not match |V|^{-4}|xi|^{-2}")
+        raise VerificationError(
+            "q_{-2} recursion does not match |V|^{-4}|xi|^{-2} "
+            f"(residual {symbol_residual(q2, q2_closed):.6g})"
+        )
     q3_order = degree - 1
-    if not symbols_equal(
-        q3.truncate_jets(q3_order), q3_closed.truncate_jets(q3_order), tol
-    ):
-        raise VerificationError("q_{-3} recursion does not match its closed form")
+    q3_valid = q3.truncate_jets(q3_order)
+    q3_closed = q3_closed.truncate_jets(q3_order)
+    if not symbols_equal(q3_valid, q3_closed, tol):
+        raise VerificationError(
+            "q_{-3} recursion does not match its closed form "
+            f"(residual {symbol_residual(q3_valid, q3_closed):.6g})"
+        )
     return q2, q3
 
 

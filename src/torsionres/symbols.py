@@ -59,19 +59,25 @@ class Symbol:
     def _prune_float(self, rel: float = 1e-14):
         """Drop rounding residue of exact cancellations (float mode only).
 
-        Coefficients below ``rel`` times the symbol's largest magnitude are
-        noise far beneath the 1e-9 comparison scale; keeping them densifies
-        every later product.
+        Coefficients below ``rel`` times the largest magnitude of their
+        (xi-degree, x-jet degree) group are noise far beneath the 1e-9
+        comparison scale; keeping them densifies every later product.  Each
+        group has its own scale because the groups are never compared with
+        each other: large x-linear jet coefficients say nothing about the
+        size of the base-point value.
         """
-        mx = _max_coefficient(self)
-        if mx == 0.0:
-            self.terms = {}
-            return
-        eps = rel * mx
+        scale: Dict[Tuple[int, int], float] = {}
+        for key, jet in self.terms.items():
+            deg = _xi_degree(key)
+            for mono, elem in jet.terms.items():
+                group = (deg, sum(mono))
+                scale[group] = max(scale.get(group, 0.0), elem.max_abs())
         pruned: Dict[TermKey, Jet] = {}
         for key, jet in self.terms.items():
+            deg = _xi_degree(key)
             kept_jet = {}
             for mono, elem in jet.terms.items():
+                eps = rel * scale[(deg, sum(mono))]
                 kept = {b: c for b, c in elem.terms.items() if abs(complex(c)) > eps}
                 if kept:
                     kept_jet[mono] = CliffordElement(elem.dim, kept)
@@ -467,12 +473,13 @@ def _expand_norm_power(nvars: int, p: int) -> Dict[XiMono, int]:
     return out
 
 
-def symbol_is_zero(s: Symbol, tol: float = 0.0) -> bool:
-    """Exact zero test modulo the relation sum_i xi_i^2 = |xi|^2.
+def _normal_coefficients(s: Symbol) -> Iterable:
+    """The coefficients of ``s`` with the relation sum_i xi_i^2 = |xi|^2
+    taken out, so that ``s`` is zero exactly when all of them are.
 
     Terms are grouped by (homogeneity degree, x-monomial, blade); within a
-    group the lowest norm power is cleared by expanding (sum xi_i^2)^j and
-    the resulting polynomial coefficients must vanish.
+    group the lowest norm power is cleared by expanding (sum xi_i^2)^j, and
+    the coefficients of the resulting polynomial are yielded group by group.
     """
     groups: Dict[Tuple[int, Tuple[int, ...], int], Dict[TermKey, object]] = {}
     for (mono, k), jet in s.terms.items():
@@ -496,14 +503,22 @@ def symbol_is_zero(s: Symbol, tol: float = 0.0) -> bool:
                     poly[key] = poly[key] + add
                 else:
                     poly[key] = add
-        for val in poly.values():
-            if tol == 0.0:
-                if bool(val):
-                    return False
-            else:
-                if abs(complex(val)) > tol:
-                    return False
-    return True
+        yield from poly.values()
+
+
+def symbol_is_zero(s: Symbol, tol: float = 0.0) -> bool:
+    """Exact zero test modulo the relation sum_i xi_i^2 = |xi|^2, or every
+    normal-form coefficient within ``tol`` when ``tol`` is nonzero."""
+    if tol == 0.0:
+        return not any(_normal_coefficients(s))
+    return all(abs(complex(val)) <= tol for val in _normal_coefficients(s))
+
+
+def symbol_residual(a: Symbol, b: Symbol) -> float:
+    """The largest normal-form coefficient magnitude of ``a - b``: what a
+    failed ``symbols_equal`` leaves over, independent of how the norm
+    powers of either side are written."""
+    return max((abs(complex(val)) for val in _normal_coefficients(a - b)), default=0.0)
 
 
 def _max_coefficient(s: Symbol) -> float:

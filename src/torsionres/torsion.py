@@ -63,6 +63,7 @@ from .symbols import (
     symbol_compose,
     symbol_invert_order2,
     symbol_product,
+    symbol_residual,
     symbols_equal,
 )
 
@@ -167,10 +168,12 @@ def pipeline_symbols(s: Scenario, tol: float = 0.0) -> PipelineSymbols:
     recombined = Symbol.zero(n, 1, fld)
     for piece in sub_pieces.values():
         recombined = recombined + piece
-    if not symbols_equal(recombined, symbol_product(head, q3), tol):
+    expected = symbol_product(head, q3)
+    if not symbols_equal(recombined, expected, tol):
         raise VerificationError(
             "sub-leading power symbol: the fragments of the square and of its "
-            "inverse do not add up to m q_{-2}^{m-1} q_{-3}"
+            "inverse do not add up to m q_{-2}^{m-1} q_{-3} "
+            f"(residual {symbol_residual(recombined, expected):.6g})"
         )
     sub_pieces["power_cross"] = cross.scale(minus_i)
 
@@ -199,8 +202,12 @@ def pipeline_symbols(s: Scenario, tol: float = 0.0) -> PipelineSymbols:
         check = check + symbol_product(dxi_top, dsigma1[mu])
     k1_sym = k1_sym.scale(minus_i)
     k2_sym = k2_sym.scale(minus_i)
-    if not symbols_equal(k1_sym + k2_sym, check.scale(minus_i), tol):
-        raise VerificationError("H3 split does not recombine at the base point")
+    k_sum, expected = k1_sym + k2_sym, check.scale(minus_i)
+    if not symbols_equal(k_sum, expected, tol):
+        raise VerificationError(
+            "H3 split does not recombine at the base point "
+            f"(residual {symbol_residual(k_sum, expected):.6g})"
+        )
 
     return PipelineSymbols(
         dirac=dirac.evaluate_jets_at_origin(),

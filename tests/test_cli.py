@@ -294,6 +294,28 @@ def test_cli_float_out_of_range_v(tmp_path, capsys, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("slope", ["1e7", "1e12"])
+def test_cli_float_large_jacobian_keeps_base_point(tmp_path, capsys, slope):
+    """x-linear jet coefficients far above the base-point values must not
+    prune the base-point value away: the float run reports, and its terms
+    are the exact terms of the same scenario."""
+    doc = json.loads(json.dumps(DERIVED))
+    doc["V"]["jacobian"][1][0] = str(int(float(slope)))
+    exact = term_densities(parse_scenario(doc)[0])
+    doc["mode"] = "float"
+    doc["V"]["value"] = [1.0, 0.0, 0.0, 0.0]
+    doc["V"]["jacobian"] = [[0.0] * 4, [float(slope), 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4]
+    for key in ("X", "u", "v", "w"):
+        doc[key] = [float(Fraction(c)) for c in doc[key]]
+    path = write_scenario(tmp_path, doc, "float.json")
+    assert main(["run", "--scenario", path]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    scale = max(abs(complex(exact[name].value)) for name in TERM_NAMES)
+    for name in TERM_NAMES:
+        got = density_from_json(rep["terms"][name], 2, "float").value
+        assert abs(got - complex(exact[name].value)) <= 1e-9 * scale, name
+
+
 # -- float mode against exact mode at scaled |V| ---------------------------------
 
 

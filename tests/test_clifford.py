@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from torsionres.clifford import (
     CliffordElement,
     FrameVector,
+    blade_product_sign,
     clifford_of_vector,
     clifford_product,
     clifford_product_seq,
     clifford_trace,
     grade_project,
 )
-from torsionres.scalars import EXACT
+from torsionres.scalars import EXACT, FLOAT
 
 from conftest import exact_vector, small_rational
 
@@ -139,3 +140,84 @@ def test_trace_identity_values(derived_scenario):
     assert lemma33_trace_identity(2, [e1, e1], 2, EXACT) == EXACT.of(-4)
     assert lemma33_trace_identity(4, [e1] * 4, 2, EXACT) == EXACT.of(4)
     assert lemma33_trace_identity(6, [e1] * 6, 2, EXACT) == EXACT.of(-4)
+
+
+# -- the integer kernel of exact products ---------------------------------------
+
+
+def _reference_product(a, b):
+    """One scalar product and one scalar sum per coefficient pair, with the
+    blade sign applied to the product; zero sums are dropped at the end."""
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            term = ca * cb if blade_product_sign(ma, mb) > 0 else -(ca * cb)
+            m = ma ^ mb
+            out[m] = out[m] + term if m in out else term
+    return {m: c for m, c in out.items() if c}
+
+
+# a few small values make pairs that land on one blade cancel often
+_part = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3)]),
+    st.fractions(max_denominator=40).filter(lambda q: abs(q) < 10**6),
+)
+
+
+@st.composite
+def _exact_operands(draw):
+    dim = draw(st.sampled_from((2, 4, 6)))
+    terms = st.dictionaries(
+        st.integers(min_value=0, max_value=2**dim - 1),
+        st.builds(EXACT.complex_of, _part, _part),
+        max_size=12,
+    )
+    return CliffordElement(dim, draw(terms)), CliffordElement(dim, draw(terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact_operands())
+def test_exact_product_matches_per_coefficient_reference(operands):
+    a, b = operands
+    got = clifford_product(a, b)
+    want = _reference_product(a, b)
+    assert got.terms == want
+    assert all(bool(c) for c in got.terms.values())
+    assert hash(got) == hash(CliffordElement(a.dim, want))
+
+
+def test_exact_product_drops_cancelled_blades():
+    # (c e1 + c e2)(c e1 - c e2) = -2 c^2 e12: the scalar blade cancels
+    c = EXACT.complex_of(Fraction(1, 3), Fraction(2, 3))
+    a = CliffordElement(2, {0b01: c, 0b10: c})
+    b = CliffordElement(2, {0b01: c, 0b10: -c})
+    assert clifford_product(a, b).terms == {0b11: EXACT.complex_of(Fraction(2, 3), Fraction(-8, 9))}
+
+
+def _float_element(dim, rng):
+    terms = {}
+    for mask in range(2**dim):
+        if rng.random() < 0.4:
+            terms[mask] = complex(rng.uniform(-2, 2), rng.choice((0.0, rng.uniform(-2, 2))))
+    return CliffordElement(dim, terms)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from((2, 4, 6)))
+def test_float_product_is_bit_identical_to_reference(seed, dim):
+    rng = random.Random(seed)
+    a, b = _float_element(dim, rng), _float_element(dim, rng)
+    got = clifford_product(a, b).terms
+    want = _reference_product(a, b)
+    assert list(got) == list(want)
+    for m, c in want.items():
+        assert (got[m].real.hex(), got[m].imag.hex()) == (c.real.hex(), c.imag.hex())
+
+
+def test_exact_times_float_is_a_mode_error():
+    exact = CliffordElement(4, {0b01: EXACT.complex_of(1, 2), 0b11: EXACT.of(Fraction(1, 3))})
+    flt = CliffordElement(4, {0b10: FLOAT.of(0.5)})
+    mixed = CliffordElement(4, {0b01: EXACT.one, 0b10: FLOAT.one})
+    for a, b in ((exact, flt), (flt, exact), (exact, mixed), (mixed, exact)):
+        with pytest.raises(TypeError):
+            clifford_product(a, b)

@@ -24,6 +24,7 @@ from torsionres.geometry import (
 from torsionres.jets import Jet
 from torsionres.scalars import EXACT
 from torsionres.symbols import (
+    Symbol,
     norm_squared_symbol,
     symbol_compose,
     symbols_equal,
@@ -221,6 +222,22 @@ def test_constant_v_square_flat():
     q2, q3 = rescaled_dirac_inverse_symbols(s)
     assert symbols_equal(q2, norm_squared_symbol(4, 1, EXACT, 4, -1))
     assert q3.evaluate_jets_at_origin().is_zero()
+
+
+def test_inverse_mismatch_reports_its_residual():
+    """A square that is not the operator's: the failed q_{-2} and q_{-3}
+    checks state the largest coefficient of their difference."""
+    s = _constant_v_scenario()
+    square = rescaled_dirac_square_symbols(s)
+    # twice the square inverts to |xi|^{-2}/2 against the closed |xi|^{-2}
+    with pytest.raises(VerificationError, match=r"q_\{-2\}.*\(residual 0\.5\)"):
+        rescaled_dirac_inverse_symbols(s, square=square.scale(EXACT.of(2)))
+    # an extra sigma_1 = 3 xi_1 adds q_{-3} = -3 xi_1 |xi|^{-4}; the closed form is 0
+    extra = Symbol(4, 1, EXACT, {
+        ((1, 0, 0, 0), 0): Jet.constant(4, 1, CliffordElement.scalar(4, EXACT.of(3)))
+    })
+    with pytest.raises(VerificationError, match=r"q_\{-3\}.*\(residual 3\)"):
+        rescaled_dirac_inverse_symbols(s, square=square + extra)
 
 
 @pytest.mark.parametrize("m", [2, 3])

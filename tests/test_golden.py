@@ -5,11 +5,15 @@ the term route was reduced to base-point symbols; any later change that
 is meant to keep reports identical must keep these tests green.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from torsionres.cli import main
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
 
 
 def test_golden_run_report_of_readme_scenario(capsys):
@@ -23,3 +27,18 @@ def test_golden_exact_sweep(capsys):
     assert main(["sweep", "--m", "2", "--trials", "3", "--seed", "1", "--mode", "exact"]) == 0
     out = capsys.readouterr().out
     assert out == (DATA / "sweep_m2_trials3_seed1_exact.txt").read_text(encoding="utf-8")
+
+
+def test_golden_run_report_through_python_m(tmp_path):
+    """``PYTHONPATH=src python -m torsionres run`` works from a source
+    checkout without installing the package, and writes the same report."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "torsionres", "run", "--scenario", str(DATA / "readme_scenario.json")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (DATA / "readme_scenario_report.json").read_text(encoding="utf-8")
