@@ -4,17 +4,19 @@
     torsionres sweep --m 2 --trials 100 --seed 1 --mode exact
     torsionres lemma --name 3.4 [--seed 1]
 
-Exit codes: 0 all comparisons passed, 1 a verification comparison failed,
-2 usage or input error.
+Exit codes: 0 all comparisons passed, 1 a verification comparison or a
+symbol check inside the pipeline failed, 2 usage or input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from .checks import LEMMA_CHECKS, run_sweep
+from .geometry import VerificationError
 from .report import build_report, report_to_text, summarize_report
 from .scenario_io import ScenarioError, load_scenario
 
@@ -70,6 +72,17 @@ def _cmd_lemma(args) -> int:
     return EXIT_OK if outcome.passed else EXIT_VERIFICATION
 
 
+def _tolerance(text: str) -> float:
+    """A float-mode tolerance: a finite number, zero or more."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torsionres",
@@ -82,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="evaluate one scenario file and emit its report")
     p_run.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    p_run.add_argument("--tolerance", type=float, default=1e-9,
+    p_run.add_argument("--tolerance", type=_tolerance, default=1e-9,
                        help="relative tolerance for float-mode comparisons")
     p_run.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_run.set_defaults(func=_cmd_run)
@@ -92,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--mode", required=True, choices=("exact", "float"))
-    p_sweep.add_argument("--tolerance", type=float, default=1e-9)
+    p_sweep.add_argument("--tolerance", type=_tolerance, default=1e-9,
+                         help="relative tolerance for float-mode comparisons")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_lemma = sub.add_parser("lemma", help="run one targeted identity check")
@@ -105,7 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except VerificationError as exc:
+        # a symbol check inside the pipeline failed; its message names the
+        # check and its residual
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

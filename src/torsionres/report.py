@@ -30,8 +30,10 @@ from typing import Dict, List, Optional, Tuple
 from .geometry import Scenario
 from .reference import (
     DensityValue,
+    paper_group_densities,
     paper_term_densities,
     reference_term_densities,
+    theorem_density,
 )
 from .scalars import GaussianRational
 from .torsion import TERM_NAMES, TermBreakdown, assemble_density
@@ -109,14 +111,43 @@ def scenario_to_json(s: Scenario) -> Dict:
         "v": vec(s.v),
         "w": vec(s.w),
     }
-    if s.curvature is not None:
-        doc["curvature"] = [
-            {"indices": list(idx), "value": str(val)}
-            for idx, val in sorted(s.curvature.components.items())
-        ]
     if s.seed is not None:
         doc["seed"] = s.seed
     return doc
+
+
+def term_scale(*term_sets: Dict[str, DensityValue]) -> float:
+    """The float gates' scale: the largest term magnitude, 1.0 if every
+    term is zero.  Float rounding follows the size of the terms, not of
+    their sum, which cancels to about zero."""
+    return max(abs(complex(d.value)) for terms in term_sets for d in terms.values()) or 1.0
+
+
+def gating_comparisons(
+    s: Scenario,
+    breakdown: TermBreakdown,
+    reference: Dict[str, DensityValue],
+    tolerance: float,
+) -> List[Comparison]:
+    """The rows that decide a scenario's verdict: each term against its
+    derived closed form, the assembled density against the composition
+    oracle, and the imaginary part of the assembled density against zero,
+    all relative to the largest term."""
+    scale = term_scale(breakdown.terms)
+    rows = [
+        Comparison(f"term:{name}:reference", breakdown.terms[name], reference[name],
+                   True, tolerance, scale)
+        for name in TERM_NAMES
+    ]
+    rows.append(Comparison("assembled:composition_oracle", breakdown.assembled,
+                           breakdown.composition_oracle, True, tolerance, scale))
+    if s.mode == "exact":
+        imag_val = GaussianRational(0, breakdown.assembled.value.im)
+    else:
+        imag_val = complex(0.0, complex(breakdown.assembled.value).imag)
+    rows.append(Comparison("assembled:imaginary_part_zero", DensityValue(imag_val, s.m),
+                           DensityValue(s.field.of(0), s.m), True, tolerance, scale))
+    return rows
 
 
 def build_report(
@@ -130,86 +161,35 @@ def build_report(
     derived closed form of that term by delta (in density units) before
     the gating comparison, which must then fail in exactly that term.
     """
-    fld = s.field
     cmp_tol = 0.0 if s.mode == "exact" else tolerance
-    breakdown: TermBreakdown = assemble_density(s, cmp_tol)
-    # float rounding follows the size of the terms, not of their sum, which
-    # cancels to about zero: gate relative to the largest term
-    gate_scale = max(abs(complex(breakdown.term(name).value)) for name in TERM_NAMES) or 1.0
+    breakdown = assemble_density(s, cmp_tol)
+    terms = breakdown.terms
     reference = reference_term_densities(s)
     printed = paper_term_densities(s)
+    groups = paper_group_densities(s)
+    theorem = theorem_density(s)
 
     if perturb is not None:
         term, delta = perturb
         if term not in TERM_NAMES:
             raise ValueError(f"unknown term {term!r} in perturbation fixture")
         reference = dict(reference)
-        reference[term] = DensityValue(
-            reference[term].value + fld.of(delta), s.m
-        )
+        reference[term] = DensityValue(reference[term].value + s.field.of(delta), s.m)
 
-    comparisons: List[Comparison] = []
+    comparisons = gating_comparisons(s, breakdown, reference, cmp_tol)
     for name in TERM_NAMES:
         comparisons.append(
-            Comparison(
-                name=f"term:{name}:reference",
-                left=breakdown.term(name),
-                right=reference[name],
-                gating=True,
-                tolerance=cmp_tol,
-                scale=gate_scale,
-            )
+            Comparison(f"term:{name}:paper", terms[name], printed[name], False, cmp_tol)
         )
-    comparisons.append(
-        Comparison(
-            name="assembled:composition_oracle",
-            left=breakdown.assembled,
-            right=breakdown.composition_oracle,
-            gating=True,
-            tolerance=cmp_tol,
-            scale=gate_scale,
-        )
-    )
-    zero = DensityValue(fld.of(0), s.m)
-    if s.mode == "exact":
-        imag_val = GaussianRational(0, breakdown.assembled.value.im)
-    else:
-        imag_val = complex(0.0, complex(breakdown.assembled.value).imag)
-    imag_part = DensityValue(imag_val, s.m)
-    comparisons.append(
-        Comparison(
-            name="assembled:imaginary_part_zero",
-            left=imag_part,
-            right=zero,
-            gating=True,
-            tolerance=cmp_tol,
-            scale=gate_scale,
-        )
-    )
-
-    for name in TERM_NAMES:
-        comparisons.append(
-            Comparison(
-                name=f"term:{name}:paper",
-                left=breakdown.term(name),
-                right=printed[name],
-                gating=False,
-                tolerance=cmp_tol,
-            )
-        )
-    h2_machine = breakdown.l1
+    h2_machine = terms["l1"]
     for t in ("l2", "l3", "l4", "l5"):
-        h2_machine = h2_machine + breakdown.term(t)
+        h2_machine = h2_machine + terms[t]
     comparisons.extend(
         [
-            Comparison("group:h1:paper", breakdown.h1, breakdown.paper_h1, False, cmp_tol),
-            Comparison("group:h2:paper", h2_machine, breakdown.paper_h2, False, cmp_tol),
-            Comparison(
-                "group:h3:paper", breakdown.k1 + breakdown.k2, breakdown.paper_h3, False, cmp_tol
-            ),
-            Comparison(
-                "assembled:theorem", breakdown.assembled, breakdown.theorem, False, cmp_tol
-            ),
+            Comparison("group:h1:paper", terms["h1"], groups["h1"], False, cmp_tol),
+            Comparison("group:h2:paper", h2_machine, groups["h2"], False, cmp_tol),
+            Comparison("group:h3:paper", terms["k1"] + terms["k2"], groups["h3"], False, cmp_tol),
+            Comparison("assembled:theorem", breakdown.assembled, theorem, False, cmp_tol),
         ]
     )
 
@@ -218,17 +198,11 @@ def build_report(
         "schema": SCHEMA_VERSION,
         "scenario": scenario_to_json(s),
         "tolerance": tolerance,
-        "terms": {
-            name: density_to_json(breakdown.term(name), s.mode) for name in TERM_NAMES
-        },
+        "terms": {name: density_to_json(terms[name], s.mode) for name in TERM_NAMES},
         "assembled": density_to_json(breakdown.assembled, s.mode),
         "composition_oracle": density_to_json(breakdown.composition_oracle, s.mode),
-        "paper": {
-            "h1": density_to_json(breakdown.paper_h1, s.mode),
-            "h2": density_to_json(breakdown.paper_h2, s.mode),
-            "h3": density_to_json(breakdown.paper_h3, s.mode),
-        },
-        "theorem": density_to_json(breakdown.theorem, s.mode),
+        "paper": {key: density_to_json(groups[key], s.mode) for key in ("h1", "h2", "h3")},
+        "theorem": density_to_json(theorem, s.mode),
         "diffs": [c.to_json(s.mode) for c in comparisons],
         "pass": overall,
     }

@@ -12,7 +12,6 @@ Scenario files are JSON documents:
       "u": ["0","1","0","0"],
       "v": ["0","1","0","0"],
       "w": ["0","1","0","0"],
-      "curvature": [{"indices": [1,2,1,2], "value": "1/3"}],   // optional
       "perturb": {"term": "l4", "delta": "1/7"}                // optional
     }
 
@@ -35,7 +34,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .clifford import FrameVector
-from .geometry import CurvatureData, Scenario, VectorFieldJet
+from .geometry import Scenario, VectorFieldJet
 from .scalars import field_for_mode
 from .torsion import TERM_NAMES
 
@@ -106,6 +105,11 @@ def parse_scenario(doc: Dict) -> Tuple[Scenario, Optional[Tuple[str, Fraction]]]
     if mode not in ("exact", "float"):
         raise ScenarioError(f"mode: must be \"exact\" or \"float\", got {mode!r}")
     n = 2 * m
+    if "curvature" in doc:
+        raise ScenarioError(
+            "curvature: not accepted; the rescaled-Dirac model works in flat "
+            "normal coordinates and does not use curvature"
+        )
 
     v_obj = doc.get("V")
     if not isinstance(v_obj, dict) or "value" not in v_obj or "jacobian" not in v_obj:
@@ -131,27 +135,6 @@ def parse_scenario(doc: Dict) -> Tuple[Scenario, Optional[Tuple[str, Fraction]]]
         name: _parse_vector(doc.get(name), n, mode, name) for name in ("X", "u", "v", "w")
     }
 
-    curvature = None
-    if "curvature" in doc and doc["curvature"] is not None:
-        entries: Dict[Tuple[int, int, int, int], Fraction] = {}
-        if not isinstance(doc["curvature"], list):
-            raise ScenarioError("curvature: expected a list of entries")
-        for i, ent in enumerate(doc["curvature"]):
-            path = f"curvature[{i}]"
-            if not isinstance(ent, dict) or "indices" not in ent or "value" not in ent:
-                raise ScenarioError(f"{path}: expected {{indices, value}}")
-            idx = ent["indices"]
-            if not (isinstance(idx, list) and len(idx) == 4 and all(isinstance(k, int) for k in idx)):
-                raise ScenarioError(f"{path}.indices: expected four integer indices")
-            try:
-                entries[tuple(idx)] = Fraction(ent["value"])
-            except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
-                raise ScenarioError(f"{path}.value: bad rational ({exc})")
-        try:
-            curvature = CurvatureData.from_entries(n, entries)
-        except ValueError as exc:
-            raise ScenarioError(f"curvature: {exc}")
-
     perturb = None
     if "perturb" in doc and doc["perturb"] is not None:
         p = doc["perturb"]
@@ -176,7 +159,6 @@ def parse_scenario(doc: Dict) -> Tuple[Scenario, Optional[Tuple[str, Fraction]]]
             u=vectors["u"],
             v=vectors["v"],
             w=vectors["w"],
-            curvature=curvature,
             seed=doc.get("seed"),
         )
     except ValueError as exc:

@@ -55,7 +55,7 @@ from .geometry import (
     rescaled_dirac_inverse_symbols,
 )
 from .jets import Jet
-from .reference import DensityValue, paper_group_densities, theorem_density
+from .reference import DensityValue
 from .spheres import monomial_integral
 from .symbols import (
     Symbol,
@@ -274,50 +274,28 @@ def composition_oracle_density(s: Scenario) -> DensityValue:
     )
 
 
+def sum_terms(terms: Dict[str, DensityValue]) -> DensityValue:
+    """The assembled density: the terms added in ``TERM_NAMES`` order, so
+    every caller gets the same float sum."""
+    total = terms[TERM_NAMES[0]]
+    for name in TERM_NAMES[1:]:
+        total = total + terms[name]
+    return total
+
+
 @dataclass
 class TermBreakdown:
-    """Per-term densities, their sum, the oracle, and the printed forms."""
+    """Per-term densities, their sum, and the generic oracle."""
 
-    h1: DensityValue
-    l1: DensityValue
-    l2: DensityValue
-    l3: DensityValue
-    l4: DensityValue
-    l5: DensityValue
-    k1: DensityValue
-    k2: DensityValue
+    terms: Dict[str, DensityValue]
     assembled: DensityValue
     composition_oracle: DensityValue
-    paper_h1: DensityValue
-    paper_h2: DensityValue
-    paper_h3: DensityValue
-    theorem: DensityValue
-
-    def term(self, name: str) -> DensityValue:
-        return getattr(self, name)
-
-    def terms(self) -> Dict[str, DensityValue]:
-        return {k: getattr(self, k) for k in TERM_NAMES}
 
 
 def assemble_density(s: Scenario, tol: float = 0.0) -> TermBreakdown:
-    """Sum the machine terms, run the generic oracle, and attach the
-    printed closed forms for comparison."""
+    """Both routes: the machine terms with their sum, and the generic oracle."""
     terms = term_densities(s, tol)
-    assembled = terms["h1"]
-    for name in TERM_NAMES[1:]:
-        assembled = assembled + terms[name]
-    oracle = composition_oracle_density(s)
-    groups = paper_group_densities(s)
-    return TermBreakdown(
-        **terms,
-        assembled=assembled,
-        composition_oracle=oracle,
-        paper_h1=groups["h1"],
-        paper_h2=groups["h2"],
-        paper_h3=groups["h3"],
-        theorem=theorem_density(s),
-    )
+    return TermBreakdown(terms, sum_terms(terms), composition_oracle_density(s))
 
 
 def plain_dirac_torsion_density(

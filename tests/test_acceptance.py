@@ -261,12 +261,12 @@ def test_criterion_08_theorem_end_to_end(derived_scenario, capsys):
     lines = ["    per-term discrepancy table (machine vs printed, units 2^m Vol(S^{2m-1})):"]
     printed = paper_term_densities(derived_scenario)
     for name in TERM_NAMES:
-        machine = bd.term(name).value
+        machine = bd.terms[name].value
         paper = printed[name].value
         marker = "" if machine == paper else "   <-- differs"
         lines.append(f"      {name}: machine {machine}  printed {paper}{marker}")
     lines.append(
-        f"      assembled {bd.assembled.value}  printed theorem {bd.theorem.value}   <-- differs"
+        f"      assembled {bd.assembled.value}  printed theorem {theorem.value}   <-- differs"
     )
 
     rng = random.Random(108)
@@ -309,7 +309,7 @@ def test_criterion_09_cancellation_properties():
     assert all(not bool(c) for c in s_const.V.d_norm_sq().components)
     bd_const = assemble_density(s_const)
     assert bd_const.assembled.value == EXACT.of(0)
-    assert bd_const.theorem.value == EXACT.of(0)
+    assert theorem_density(s_const).value == EXACT.of(0)
 
     for m in (2, 3):
         n = 2 * m

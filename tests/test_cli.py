@@ -1,15 +1,18 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torsionres import checks, torsion
 from torsionres.clifford import FrameVector
 from torsionres.checks import scenario_invariant_suite
 from torsionres.cli import main
 from torsionres.geometry import Scenario, VectorFieldJet, random_scenario
+from torsionres.reference import DensityValue
 from torsionres.report import build_report, density_from_json, report_to_text
 from torsionres.scalars import EXACT, FLOAT
 from torsionres.scenario_io import ScenarioError, load_scenario, parse_scenario
@@ -91,13 +94,16 @@ def test_unknown_schema_rejected():
         parse_scenario(doc)
 
 
-def test_curvature_entries_parse_and_validate():
+def test_curvature_key_rejected(tmp_path, capsys):
+    """The rescaled-Dirac model reads no curvature: a scenario that gives one
+    is a usage error, not data that would be checked and then ignored."""
     doc = json.loads(json.dumps(DERIVED))
     doc["curvature"] = [{"indices": [1, 2, 1, 2], "value": "1/3"}]
-    scenario, _ = parse_scenario(doc)
-    assert scenario.curvature is not None
-    assert scenario.curvature.value(1, 2, 1, 2) == Fraction(1, 3)
-    assert scenario.curvature.value(2, 1, 1, 2) == Fraction(-1, 3)
+    with pytest.raises(ScenarioError, match="curvature: .*does not use"):
+        parse_scenario(doc)
+    assert main(["run", "--scenario", write_scenario(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert "curvature" in captured.err and captured.out == ""
 
 
 # -- reports ---------------------------------------------------------------------
@@ -256,7 +262,6 @@ def test_cli_non_finite_float_literal(tmp_path, capsys, literal):
     [
         ("perturb", {"term": "l4", "delta": float("inf")}),
         ("perturb", {"term": "l4", "delta": [1]}),
-        ("curvature", [{"indices": [1, 2, 1, 2], "value": float("inf")}]),
     ],
 )
 def test_cli_bad_rational_fields(tmp_path, capsys, field, entry):
@@ -266,6 +271,46 @@ def test_cli_bad_rational_fields(tmp_path, capsys, field, entry):
     assert main(["run", "--scenario", path]) == 2
     captured = capsys.readouterr()
     assert field in captured.err and "bad rational" in captured.err
+
+
+def _float_scenario_doc():
+    """The README scenario in float mode with a generic V, Jacobian row and X."""
+    doc = json.loads(json.dumps(DERIVED))
+    doc["mode"] = "float"
+    doc["V"]["value"] = [1.0, 0.5, -0.25, 0.75]
+    doc["V"]["jacobian"] = [[0.3, -0.7, 0.2, 0.1], [1.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4]
+    doc["X"] = [0.1, 0.2, -0.3, 0.5]
+    for key in ("u", "v", "w"):
+        doc[key] = [float(Fraction(c)) for c in doc[key]]
+    return doc
+
+
+def _tolerance_argv(command, tmp_path, tolerance):
+    if command == "run":
+        path = write_scenario(tmp_path, _float_scenario_doc())
+        return ["run", "--scenario", path, "--tolerance", tolerance]
+    return ["sweep", "--m", "2", "--trials", "1", "--mode", "float", "--tolerance", tolerance]
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, command, tolerance):
+    with pytest.raises(SystemExit) as exc:
+        main(_tolerance_argv(command, tmp_path, tolerance))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--tolerance" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("tolerance", ["0", "1e-20"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_failed_symbol_check_is_one_error_line(tmp_path, capsys, command, tolerance):
+    """A tolerance below float rounding fails a symbol check inside the
+    pipeline: exit 1 with the check and its residual, no traceback."""
+    assert main(_tolerance_argv(command, tmp_path, tolerance)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: .*\(residual [0-9.e+-]+\)\n", captured.err)
 
 
 def test_cli_out_into_missing_directory(tmp_path, capsys):
@@ -366,3 +411,41 @@ def test_float_sweep_invariants_hold_at_scaled_v():
         s = _scaled(random_scenario(2, "float", rng), 1e-2, FLOAT)
         out = scenario_invariant_suite(s, random.Random(1), 1e-9)
         assert out.passed, [line for line in out.lines if line.startswith("FAIL")]
+
+
+def test_float_sweep_gates_like_the_report_at_small_terms(monkeypatch):
+    """At |V| scaled by 10 the terms are about 1e-5.  A derived closed form
+    off by 1e-6 of the largest term fails the report's gating, and the
+    sweep's per-term invariant, judged by the same rule, fails with it."""
+    s = _scaled(random_scenario(2, "float", random.Random(5)), 10, FLOAT)
+    shift = 1e-6 * max(abs(complex(d.value)) for d in term_densities(s, 1e-9).values())
+    assert 1e-13 < shift < 1e-10
+    assert build_report(s, 1e-9, perturb=("l4", Fraction(shift)))["pass"] is False
+
+    derived = checks.reference_term_densities
+
+    def shifted(scenario):
+        ref = dict(derived(scenario))
+        ref["l4"] = DensityValue(ref["l4"].value + shift, scenario.m)
+        return ref
+
+    monkeypatch.setattr(checks, "reference_term_densities", shifted)
+    out = scenario_invariant_suite(s, random.Random(1), 1e-9)
+    failed = [line for line in out.lines if line.startswith("FAIL")]
+    assert len(failed) == 1 and "match derived closed forms" in failed[0]
+
+
+def test_sweep_trial_runs_the_oracle_once(monkeypatch):
+    """The derived scenarios of a sweep trial run the term route alone; only
+    the scenario itself is checked against the composition oracle."""
+    calls = []
+    oracle = torsion.composition_oracle_density
+
+    def counted(s):
+        calls.append(s)
+        return oracle(s)
+
+    monkeypatch.setattr(torsion, "composition_oracle_density", counted)
+    out = scenario_invariant_suite(random_scenario(2, "exact", random.Random(3)), random.Random(3))
+    assert out.passed and len(out.lines) == 8
+    assert len(calls) == 1

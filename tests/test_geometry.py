@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from torsionres import geometry
 from torsionres.clifford import CliffordElement
 from torsionres.geometry import (
     CurvatureData,
@@ -148,6 +149,36 @@ def test_laplacian_inverse_normal_coordinates(n):
     for _ in range(3):
         curv = random_curvature(n, rng)
         laplacian_inverse_check(curv)  # raises VerificationError on mismatch
+
+
+def test_laplacian_mismatch_reports_its_residual(monkeypatch):
+    """Closed forms shifted on purpose: each failed check of the Laplacian
+    inverse states the largest coefficient of its difference."""
+    curv = CurvatureData(4, {})
+    extra = CliffordElement.scalar(4, EXACT.of(3))
+    # sigma_1 closed form + 3 xi_1
+    sigma1_closed = geometry.laplacian_sigma1_closed_form
+    monkeypatch.setattr(geometry, "laplacian_sigma1_closed_form", lambda c, mode="exact": (
+        sigma1_closed(c, mode)
+        + Symbol(4, 2, EXACT, {((1, 0, 0, 0), 0): Jet.constant(4, 2, extra)})
+    ))
+    with pytest.raises(VerificationError, match=r"sigma_1 .*\(residual 3\)$"):
+        laplacian_inverse_check(curv)
+    monkeypatch.setattr(geometry, "laplacian_sigma1_closed_form", sigma1_closed)
+
+    closed = geometry.laplacian_inverse_closed_forms(curv)
+    # half of |xi|^{-2}
+    monkeypatch.setattr(geometry, "laplacian_inverse_closed_forms", lambda c, mode="exact": (
+        closed[0].scale(EXACT.of(Fraction(1, 2))), closed[1]
+    ))
+    with pytest.raises(VerificationError, match=r"sigma_-2 .*\(residual 0\.5\)$"):
+        laplacian_inverse_check(curv)
+    # sigma_{-3} closed form + 3 xi_1 |xi|^{-4}
+    monkeypatch.setattr(geometry, "laplacian_inverse_closed_forms", lambda c, mode="exact": (
+        closed[0], closed[1] + Symbol(4, 2, EXACT, {((1, 0, 0, 0), -2): Jet.constant(4, 2, extra)})
+    ))
+    with pytest.raises(VerificationError, match=r"sigma_-3 .*\(residual 3\)$"):
+        laplacian_inverse_check(curv)
 
 
 # -- rescaled Dirac symbols ---------------------------------------------------

@@ -1,8 +1,11 @@
-"""Byte-for-byte golden outputs of the command line, exact mode.
+"""Byte-for-byte golden outputs of the command line: the exact report of
+the README scenario, and an exact and a float sweep.
 
-The files under ``tests/data/`` were written by the command line before
-the term route was reduced to base-point symbols; any later change that
-is meant to keep reports identical must keep these tests green.
+The files under ``tests/data/`` were written by the command line of
+earlier versions (the float sweep before the sweep shared the report's
+gating rule and ran its derived scenarios on the term route alone); any
+later change that is meant to keep outputs identical must keep these
+tests green.
 """
 
 import os
@@ -27,6 +30,12 @@ def test_golden_exact_sweep(capsys):
     assert main(["sweep", "--m", "2", "--trials", "3", "--seed", "1", "--mode", "exact"]) == 0
     out = capsys.readouterr().out
     assert out == (DATA / "sweep_m2_trials3_seed1_exact.txt").read_text(encoding="utf-8")
+
+
+def test_golden_float_sweep(capsys):
+    assert main(["sweep", "--m", "2", "--trials", "3", "--seed", "1", "--mode", "float"]) == 0
+    out = capsys.readouterr().out
+    assert out == (DATA / "sweep_m2_trials3_seed1_float.txt").read_text(encoding="utf-8")
 
 
 def test_golden_run_report_through_python_m(tmp_path):
