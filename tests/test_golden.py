@@ -1,5 +1,6 @@
-"""Byte-for-byte golden outputs of the command line: the exact report of
-the README scenario, and an exact and a float sweep.
+"""Byte-for-byte golden outputs of the command line: the exact reports of
+the README scenario and of a generic m=3 scenario, the float report of a
+generic m=2 scenario, and an exact and a float sweep.
 
 The files under ``tests/data/`` were written by the command line of
 earlier versions (the float sweep before the sweep shared the report's
@@ -13,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from torsionres.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -24,6 +27,14 @@ def test_golden_run_report_of_readme_scenario(capsys):
     assert main(["run", "--scenario", str(scenario)]) == 0
     out = capsys.readouterr().out
     assert out == (DATA / "readme_scenario_report.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["exact_m3", "float_m2"])
+def test_golden_run_report_of_generic_scenario(capsys, name):
+    scenario = DATA / f"{name}_scenario.json"
+    assert main(["run", "--scenario", str(scenario)]) == 0
+    out = capsys.readouterr().out
+    assert out == (DATA / f"{name}_scenario_report.json").read_text(encoding="utf-8")
 
 
 def test_golden_exact_sweep(capsys):
