@@ -9,14 +9,18 @@ generators in strictly increasing index order, encoded as bitmasks (bit k
 set means generator e_{k+1} participates).  Elements are sparse maps from
 blades to scalars; products are computed by sign-tracked transpositions.
 
-When every coefficient of both factors is an exact ``GaussianRational``,
-the product runs on integers: each factor is written over the least common
-denominator of its coefficients, the Gaussian-integer numerators landing
-on each output blade are summed as plain ints under the cached blade sign,
-and each output blade is brought to normal form once.  That is one gcd
-per output blade rather than one per coefficient pair.  Float factors go
-through the scalar operations, and so do mixed exact/float factors, which
-raise ``TypeError`` there.
+Exact products of Clifford elements, of jets and of symbols share one
+integer kernel, ``exact_bilinear``.  ``exact_rows`` flattens each operand
+into keyed rows of Gaussian-integer numerators over one common
+denominator: a Clifford element is a single row, a jet has one row per
+x-monomial (``jets.Jet.__mul__``), a symbol one per (xi key, x-monomial)
+(``symbols.symbol_product``).  Row pairs are matched by the caller's key
+rule, the numerators landing on each (output key, blade) are summed as
+plain ints under the cached blade sign, and each nonzero sum is brought to
+normal form once: one gcd per output coefficient rather than one per
+coefficient pair and per merge of products on the same monomial.  Float
+operands go through the scalar operations in per-pair loops, and so do
+mixed exact/float operands, which raise ``TypeError`` there.
 
 The fiberwise trace is the spinor-space trace: on a 2m-dimensional frame
 the identity traces to 2^m and every non-empty blade traces to zero.
@@ -212,31 +216,87 @@ def clifford_of_vector(v: FrameVector) -> CliffordElement:
     return CliffordElement(v.dim, terms)
 
 
-def _gaussian_numerators(terms: Dict[int, object]):
-    """``([(mask, a, b), ...], d)`` with every coefficient equal to ``(a + b i)/d``.
+def exact_rows(items):
+    """``([(key, [(mask, a, b), ...]), ...], d)``: each ``(key, element)`` of
+    the sequence ``items`` as one row, with every coefficient equal to ``(a + b i)/d``.
 
-    ``d`` is the least common denominator of the coefficients.  Returns
-    ``None`` unless every coefficient is a ``GaussianRational``.
+    ``d`` is the least common denominator of all coefficients of all the
+    elements.  Returns ``None`` unless every coefficient is a
+    ``GaussianRational``.
     """
     d = 1
-    for c in terms.values():
-        if type(c) is not GaussianRational:
-            return None
-        if c._d != d:
-            d = lcm(d, c._d)
+    for _, elem in items:
+        for c in elem.terms.values():
+            if type(c) is not GaussianRational:
+                return None
+            if c._d != d:
+                d = lcm(d, c._d)
     return [
-        (m, c._a, c._b) if c._d == d else (m, c._a * (d // c._d), c._b * (d // c._d))
-        for m, c in terms.items()
+        (key, [
+            (m, c._a, c._b) if c._d == d else (m, c._a * (d // c._d), c._b * (d // c._d))
+            for m, c in elem.terms.items()
+        ])
+        for key, elem in items
     ], d
+
+
+def exact_bilinear(dim: int, left, right, combine) -> Dict[object, CliffordElement]:
+    """The products of the rows of ``left`` with the rows of ``right``, both
+    given by ``exact_rows``, summed per output key.
+
+    ``combine(key_a, key_b)`` names the output key of a row pair, or returns
+    ``None`` to skip the pair.  Row elements multiply left times right.  The
+    Gaussian-integer numerators landing on one (output key, blade) are
+    summed as plain ints under the blade sign; each nonzero sum is brought
+    to normal form once, over the product of the two denominators.  Keys
+    whose every blade cancels are left out.
+    """
+    (xs, da), (ys, db) = left, right
+    acc: Dict[object, Dict[int, list]] = {}
+    sign = blade_product_sign
+    for ka, ra in xs:
+        for kb, rb in ys:
+            key = combine(ka, kb)
+            if key is None:
+                continue
+            out = acc.get(key)
+            if out is None:
+                out = acc[key] = {}
+            for ma, xa, ya in ra:
+                for mb, xb, yb in rb:
+                    r = xa * xb - ya * yb
+                    i = xa * yb + ya * xb
+                    if sign(ma, mb) < 0:
+                        r = -r
+                        i = -i
+                    m = ma ^ mb
+                    s = out.get(m)
+                    if s is None:
+                        out[m] = [r, i]
+                    else:
+                        s[0] += r
+                        s[1] += i
+    d = da * db
+    result: Dict[object, CliffordElement] = {}
+    for key, out in acc.items():
+        terms = {m: _reduced(r, i, d) for m, (r, i) in out.items() if r or i}
+        if terms:
+            result[key] = CliffordElement._trusted(dim, terms)
+    return result
+
+
+def _single_row(ka, kb):
+    """The key rule of a product of two single-row operands."""
+    return 0
 
 
 def clifford_product(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     """Bilinear product under the relation c(e_i)c(e_j)+c(e_j)c(e_i) = -2 delta_ij."""
     a._check(b)
-    na = _gaussian_numerators(a.terms)
-    nb = _gaussian_numerators(b.terms) if na is not None else None
+    na = exact_rows(((0, a),))
+    nb = exact_rows(((0, b),)) if na is not None else None
     if nb is not None:
-        return _exact_product(a.dim, na, nb)
+        return exact_bilinear(a.dim, na, nb, _single_row).get(0, CliffordElement.zero(a.dim))
     out: Dict[int, object] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
@@ -249,35 +309,6 @@ def clifford_product(a: CliffordElement, b: CliffordElement) -> CliffordElement:
             else:
                 out[m] = coeff if s is None else s + coeff
     return CliffordElement(a.dim, out)
-
-
-def _exact_product(dim: int, na, nb) -> CliffordElement:
-    """The product of two exact elements given by ``_gaussian_numerators``.
-
-    Gaussian-integer numerators are summed per output blade as plain ints
-    and each blade is brought to normal form once, over ``da * db``.
-    """
-    (xs, da), (ys, db) = na, nb
-    acc: Dict[int, list] = {}
-    sign = blade_product_sign
-    for ma, xa, ya in xs:
-        for mb, xb, yb in ys:
-            r = xa * xb - ya * yb
-            i = xa * yb + ya * xb
-            if sign(ma, mb) < 0:
-                r = -r
-                i = -i
-            m = ma ^ mb
-            s = acc.get(m)
-            if s is None:
-                acc[m] = [r, i]
-            else:
-                s[0] += r
-                s[1] += i
-    d = da * db
-    return CliffordElement._trusted(
-        dim, {m: _reduced(r, i, d) for m, (r, i) in acc.items() if r or i}
-    )
 
 
 def clifford_product_seq(factors: Sequence[CliffordElement]) -> CliffordElement:
@@ -299,6 +330,28 @@ def clifford_trace(a: CliffordElement, m: int):
     if c is None:
         return 0
     return (2**m) * c
+
+
+def clifford_trace_of_product(a: CliffordElement, b: CliffordElement, m: int):
+    """``clifford_trace(a * b, m)`` without forming the product.
+
+    Only pairs of equal blades reach the empty blade, through
+    e_B e_B = blade_product_sign(B, B).  The pairs are summed in the order
+    of ``a``'s blades with the sign folded in, as ``clifford_product`` sums
+    them, so a float trace is bit-identical to that of the full product.
+    """
+    a._check(b)
+    s = None
+    for mask, ca in a.terms.items():
+        cb = b.terms.get(mask)
+        if cb is None:
+            continue
+        coeff = ca * cb
+        if blade_product_sign(mask, mask) < 0:
+            s = -coeff if s is None else s - coeff
+        else:
+            s = coeff if s is None else s + coeff
+    return clifford_trace(CliffordElement(a.dim, {} if s is None else {0: s}), m)
 
 
 def grade_project(a: CliffordElement, k: int) -> CliffordElement:

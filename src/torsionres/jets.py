@@ -5,14 +5,18 @@ A jet is a polynomial in x_1..x_n of total degree at most ``max_degree``
 scalar-valued jets are simply multiples of the empty blade.  Products
 truncate beyond the degree cap, and coefficient multiplication goes
 through the (noncommutative) Clifford product, so jet factors are never
-reordered.
+reordered.  An exact product runs in the integer kernel of ``clifford``
+with one row per monomial: the numerators of all Clifford products that
+land on one output monomial are summed before a single reduction per
+blade.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, Tuple
 
-from .clifford import CliffordElement
+from .clifford import CliffordElement, exact_bilinear, exact_rows
 
 Monomial = Tuple[int, ...]
 
@@ -26,7 +30,15 @@ def _mono_degree(mono: Monomial) -> int:
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
+
+
+def coefficient_dim(*jets: "Jet") -> int:
+    """The frame dimension shared by the coefficients of nonempty jets."""
+    dims = {next(iter(j.terms.values())).dim for j in jets}
+    if len(dims) != 1:
+        raise ValueError(f"Clifford dimension mismatch: {sorted(dims)}")
+    return dims.pop()
 
 
 class Jet:
@@ -42,6 +54,16 @@ class Jet:
             if _mono_degree(mono) > max_degree or coeff.is_zero():
                 continue
             self.terms[mono] = coeff
+
+    @classmethod
+    def _trusted(cls, nvars: int, max_degree: int, terms: Dict[Monomial, CliffordElement]) -> "Jet":
+        """Wrap ``terms`` as they are: the caller guarantees no zero
+        coefficient and no monomial beyond ``max_degree``."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.max_degree = max_degree
+        out.terms = terms
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -82,8 +104,21 @@ class Jet:
     def __mul__(self, other: "Jet") -> "Jet":
         """Truncated product; coefficients multiply in the given order."""
         self._check(other)
-        out: Dict[Monomial, CliffordElement] = {}
         cap = self.max_degree
+        if not self.terms or not other.terms:
+            return Jet(self.nvars, cap)
+        left = exact_rows(self.terms.items())
+        right = exact_rows(other.terms.items()) if left is not None else None
+        if right is not None:
+
+            def combine(ma, mb):
+                m = _mono_mul(ma, mb)
+                return m if _mono_degree(m) <= cap else None
+
+            return Jet._trusted(
+                self.nvars, cap, exact_bilinear(coefficient_dim(self, other), left, right, combine)
+            )
+        out: Dict[Monomial, CliffordElement] = {}
         for ma, ca in self.terms.items():
             da = _mono_degree(ma)
             for mb, cb in other.terms.items():

@@ -14,6 +14,12 @@ x-derivatives, the full composition formula
 the two-term inversion of a second-order symbol, and the negative-power
 symbol expansion together with its iterated-composition oracle.
 
+An exact ``symbol_product`` does not multiply jets pair by pair: both
+symbols are flattened into one row per (xi key, x-monomial) and go through
+the integer kernel of ``clifford`` once, which skips row pairs past the jet
+degree cap or below ``lowest_degree`` and reduces each output coefficient
+once.  Float symbols keep the per-pair loop through ``Jet.__mul__``.
+
 Equality of symbols is decided exactly: the representation by monomials
 and norm powers is not unique (sum_i xi_i^2 = |xi|^2), so a difference is
 tested for zero by clearing the lowest norm power within each
@@ -26,8 +32,8 @@ import itertools
 import math
 from typing import Dict, Iterable, List, Tuple
 
-from .clifford import CliffordElement
-from .jets import Jet, invert_scalar_jet
+from .clifford import CliffordElement, exact_bilinear, exact_rows
+from .jets import Jet, _mono_mul, coefficient_dim, invert_scalar_jet
 
 XiMono = Tuple[int, ...]
 TermKey = Tuple[XiMono, int]  # (xi exponents, norm power k meaning |xi|^{2k})
@@ -52,6 +58,10 @@ class Symbol:
                 continue
             if len(key[0]) != nvars:
                 raise ValueError("xi multi-index length mismatch")
+            if jet.max_degree != max_degree:
+                raise ValueError(
+                    f"jet degree cap {jet.max_degree} differs from the symbol's {max_degree}"
+                )
             self.terms[key] = jet
         if field.kind == "float" and self.terms:
             self._prune_float()
@@ -185,9 +195,42 @@ class Symbol:
         )
 
 
+def _exact_symbol_rows(s: Symbol):
+    """``exact_rows`` of a symbol, one row per (xi key, x-monomial), keyed by
+    ``(xi exponents, norm power, xi-degree, x-monomial, x-degree)``."""
+    return exact_rows([
+        ((mono, k, sum(mono) + 2 * k, xmono, sum(xmono)), elem)
+        for (mono, k), jet in s.terms.items()
+        for xmono, elem in jet.terms.items()
+    ])
+
+
 def symbol_product(a: Symbol, b: Symbol, lowest_degree: int | None = None) -> Symbol:
     """Pointwise product (no derivatives); jet coefficients keep their order."""
     a._check(b)
+    if not a.terms or not b.terms:
+        return Symbol.zero(a.nvars, a.max_degree, a.field)
+    left = _exact_symbol_rows(a)
+    right = _exact_symbol_rows(b) if left is not None else None
+    if right is not None:
+        cap = a.max_degree
+        dim = coefficient_dim(next(iter(a.terms.values())), next(iter(b.terms.values())))
+        lowest = -math.inf if lowest_degree is None else lowest_degree
+
+        def combine(ka, kb):
+            ma, pa, da, xa, ea = ka
+            mb, pb, db, xb, eb = kb
+            if da + db < lowest or ea + eb > cap:
+                return None
+            return (_mono_mul(ma, mb), pa + pb), _mono_mul(xa, xb)
+
+        jets: Dict[TermKey, Dict] = {}
+        for (key, xmono), elem in exact_bilinear(dim, left, right, combine).items():
+            jets.setdefault(key, {})[xmono] = elem
+        return Symbol(
+            a.nvars, a.max_degree, a.field,
+            {key: Jet._trusted(a.nvars, cap, terms) for key, terms in jets.items()},
+        )
     out: Dict[TermKey, Jet] = {}
     for (ma, ka), ja in a.terms.items():
         da = sum(ma) + 2 * ka
@@ -531,8 +574,8 @@ def _max_coefficient(s: Symbol) -> float:
 
 
 def symbols_equal(a: Symbol, b: Symbol, tol: float = 0.0) -> bool:
-    """Exact equality, or agreement within ``tol`` relative to the larger
-    operand's largest coefficient (at least 1.0) in float mode."""
+    """Exact equality, or agreement within ``tol`` relative to the largest
+    coefficient of either operand (1.0 if both are zero) in float mode."""
     if tol:
-        tol *= max(1.0, _max_coefficient(a), _max_coefficient(b))
+        tol *= max(_max_coefficient(a), _max_coefficient(b)) or 1.0
     return symbol_is_zero(a - b, tol)

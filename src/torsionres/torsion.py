@@ -44,6 +44,7 @@ from .clifford import (
     clifford_of_vector,
     clifford_product_seq,
     clifford_trace,
+    clifford_trace_of_product,
 )
 from .geometry import (
     Scenario,
@@ -99,7 +100,7 @@ def trace_integrate(sym: Symbol, prefactor: CliffordElement, m: int, field) -> D
         moment = monomial_integral(mono, n)
         if moment == 0:
             continue
-        tr = clifford_trace(prefactor * coeff, m)
+        tr = clifford_trace_of_product(prefactor, coeff, m)
         if not bool(tr):
             continue
         total = total + tr * field.of(moment)

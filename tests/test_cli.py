@@ -11,11 +11,17 @@ from torsionres import checks, torsion
 from torsionres.clifford import FrameVector
 from torsionres.checks import scenario_invariant_suite
 from torsionres.cli import main
-from torsionres.geometry import Scenario, VectorFieldJet, random_scenario
+from torsionres.geometry import (
+    Scenario,
+    VectorFieldJet,
+    random_scenario,
+    rescaled_dirac_inverse_symbols,
+)
 from torsionres.reference import DensityValue
 from torsionres.report import build_report, density_from_json, report_to_text
 from torsionres.scalars import EXACT, FLOAT
 from torsionres.scenario_io import ScenarioError, load_scenario, parse_scenario
+from torsionres.symbols import symbols_equal
 from torsionres.torsion import TERM_NAMES, term_densities
 
 DERIVED = {
@@ -433,6 +439,16 @@ def test_float_sweep_gates_like_the_report_at_small_terms(monkeypatch):
     out = scenario_invariant_suite(s, random.Random(1), 1e-9)
     failed = [line for line in out.lines if line.startswith("FAIL")]
     assert len(failed) == 1 and "match derived closed forms" in failed[0]
+
+
+def test_symbols_equal_is_relative_at_small_coefficients():
+    """At |V| scaled by 10 the coefficients of q_{-2} are about 4e-6.  A
+    relative error of 1e-4 fails a 1e-9 comparison (an absolute floor of
+    1.0 let it pass), while rounding-sized differences still pass."""
+    s = _scaled(random_scenario(2, "float", random.Random(5)), 10, FLOAT)
+    q2, _ = rescaled_dirac_inverse_symbols(s, 1e-9)
+    assert symbols_equal(q2, q2.scale(1 + 1e-4), 1e-9) is False
+    assert symbols_equal(q2, q2.scale(1 + 1e-12), 1e-9) is True
 
 
 def test_sweep_trial_runs_the_oracle_once(monkeypatch):

@@ -13,6 +13,7 @@ from torsionres.clifford import (
     clifford_product,
     clifford_product_seq,
     clifford_trace,
+    clifford_trace_of_product,
     grade_project,
 )
 from torsionres.scalars import EXACT, FLOAT
@@ -221,3 +222,31 @@ def test_exact_times_float_is_a_mode_error():
     for a, b in ((exact, flt), (flt, exact), (exact, mixed), (mixed, exact)):
         with pytest.raises(TypeError):
             clifford_product(a, b)
+
+
+# -- the trace of a product without the product ------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exact_operands())
+def test_exact_trace_of_product_is_trace_of_full_product(operands):
+    a, b = operands
+    m = a.dim // 2
+    assert clifford_trace_of_product(a, b, m) == clifford_trace(clifford_product(a, b), m)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from((2, 4, 6)))
+def test_float_trace_of_product_is_bit_identical_to_full_product(seed, dim):
+    rng = random.Random(seed)
+    a, b = _float_element(dim, rng), _float_element(dim, rng)
+    got = complex(clifford_trace_of_product(a, b, dim // 2))
+    want = complex(clifford_trace(clifford_product(a, b), dim // 2))
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_trace_of_product_checks_dimensions():
+    with pytest.raises(ValueError):
+        clifford_trace_of_product(basis(4, 1), basis(6, 1), 2)
+    with pytest.raises(ValueError):
+        clifford_trace_of_product(basis(4, 1), basis(4, 1), 3)
