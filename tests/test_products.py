@@ -74,9 +74,10 @@ def _symbol_terms(s):
 
 
 def _stored_values(s):
-    """Every jet, element and coefficient a symbol stores."""
+    """The terms of every jet and element a symbol stores, and every
+    coefficient."""
     for jet in s.terms.values():
-        yield jet
+        yield jet.terms
         for elem in jet.terms.values():
             yield elem.terms
             yield from elem.terms.values()
