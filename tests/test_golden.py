@@ -1,6 +1,7 @@
 """Byte-for-byte golden outputs of the command line: the exact reports of
 the README scenario and of a generic m=3 scenario, the float report of a
-generic m=2 scenario, and an exact and a float sweep.
+generic m=2 scenario, an exact and two float sweeps, and the case lines of
+two identity checks.
 
 The files under ``tests/data/`` were written by the command line of
 earlier versions (the float sweep before the sweep shared the report's
@@ -47,6 +48,19 @@ def test_golden_float_sweep(capsys):
     assert main(["sweep", "--m", "2", "--trials", "3", "--seed", "1", "--mode", "float"]) == 0
     out = capsys.readouterr().out
     assert out == (DATA / "sweep_m2_trials3_seed1_float.txt").read_text(encoding="utf-8")
+
+
+def test_golden_float_sweep_m3(capsys):
+    assert main(["sweep", "--m", "3", "--trials", "1", "--seed", "2", "--mode", "float"]) == 0
+    out = capsys.readouterr().out
+    assert out == (DATA / "sweep_m3_trials1_seed2_float.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["2.1", "2.5"])
+def test_golden_lemma(capsys, name):
+    assert main(["lemma", "--name", name, "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out == (DATA / f"lemma_{name}_seed1.txt").read_text(encoding="utf-8")
 
 
 def test_golden_run_report_through_python_m(tmp_path):
