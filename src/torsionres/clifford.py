@@ -351,7 +351,9 @@ def clifford_trace_of_product(a: CliffordElement, b: CliffordElement, m: int):
             s = -coeff if s is None else s - coeff
         else:
             s = coeff if s is None else s + coeff
-    return clifford_trace(CliffordElement(a.dim, {} if s is None else {0: s}), m)
+    if m < 1 or a.dim != 2 * m:
+        raise ValueError(f"trace needs dim == 2m; got dim={a.dim}, m={m}")
+    return (2**m) * s if s else 0
 
 
 def grade_project(a: CliffordElement, k: int) -> CliffordElement:

@@ -3,8 +3,9 @@
 Two sub-models live here.
 
 * The curved scalar model: metric jets g_ab = delta_ab - (1/3) R_acbd x^c x^d
-  (plus inverse and volume factor) and the Laplacian built from them.  It
-  exercises the quadratic jets and the inverse-symbol recursion.
+  (plus inverse and volume factor) and the Laplacian built from them, in
+  exact arithmetic.  It exercises the quadratic jets and the inverse-symbol
+  recursion.
 
 * The rescaled-Dirac model: normal coordinates are hard-wired at the base
   point (metric delta, vanishing metric first derivatives and spin
@@ -174,10 +175,10 @@ def _scalar_jet(n: int, entries: Dict[Tuple[int, ...], object], max_degree: int 
     )
 
 
-def build_metric_jets(curv: CurvatureData, mode: str = "exact") -> NormalMetricJets:
+def build_metric_jets(curv: CurvatureData) -> NormalMetricJets:
     """g_ab = delta - (1/3) R_acbd x^c x^d, its inverse, and sqrt(det g)."""
     n = curv.n
-    fld = field_for_mode(mode)
+    fld = EXACT
     third = Fraction(1, 3)
 
     def quadratic(a: int, b: int, sign: int) -> Jet:
@@ -250,10 +251,10 @@ def laplacian_symbol(jets: NormalMetricJets) -> Symbol:
     return Symbol(n, 2, fld, terms)
 
 
-def laplacian_sigma1_closed_form(curv: CurvatureData, mode: str = "exact") -> Symbol:
+def laplacian_sigma1_closed_form(curv: CurvatureData) -> Symbol:
     """(2i/3) Ric_ab x^a xi_b, the normal-coordinate first-order symbol."""
     n = curv.n
-    fld = field_for_mode(mode)
+    fld = EXACT
     terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
     two_thirds_i = fld.i * fld.of(Fraction(2, 3))
     for (a, b), v in curv.ricci().items():
@@ -264,15 +265,15 @@ def laplacian_sigma1_closed_form(curv: CurvatureData, mode: str = "exact") -> Sy
     return Symbol(n, 2, fld, terms)
 
 
-def laplacian_inverse_closed_forms(curv: CurvatureData, mode: str = "exact") -> Tuple[Symbol, Symbol]:
+def laplacian_inverse_closed_forms(curv: CurvatureData) -> Tuple[Symbol, Symbol]:
     """Target symbols for the inverse Laplacian in normal coordinates.
 
     sigma_{-2} = |xi|^{-4} (delta_ab - (1/3) R_acbd x^c x^d) xi_a xi_b
     sigma_{-3} = -(2i/3) Ric_ab x^a xi_b |xi|^{-4}
     """
     n = curv.n
-    fld = field_for_mode(mode)
-    jets = build_metric_jets(curv, mode)
+    fld = EXACT
+    jets = build_metric_jets(curv)
     terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
     zero_mono = (0,) * n
     one_jet = Jet.constant(n, 2, CliffordElement.scalar(n, fld.one))
@@ -290,37 +291,37 @@ def laplacian_inverse_closed_forms(curv: CurvatureData, mode: str = "exact") -> 
         n, 2, fld,
         {
             (mono, k - 2): jet.scale(fld.of(-1))
-            for (mono, k), jet in laplacian_sigma1_closed_form(curv, mode).terms.items()
+            for (mono, k), jet in laplacian_sigma1_closed_form(curv).terms.items()
         },
     )
     return q2_closed, q3_closed
 
 
-def laplacian_inverse_check(curv: CurvatureData, mode: str = "exact", tol: float = 0.0) -> Tuple[Symbol, Symbol]:
+def laplacian_inverse_check(curv: CurvatureData) -> Tuple[Symbol, Symbol]:
     """Invert the jet-built Laplacian and compare with the closed forms.
 
     The recursion output is exact to the carried jet order: q_{-2} to
     quadratic order, q_{-3} to linear order.  Raises VerificationError
     with the offending residual if either comparison fails.
     """
-    jets = build_metric_jets(curv, mode)
+    jets = build_metric_jets(curv)
     sym = laplacian_symbol(jets)
     q2, q3 = symbol_invert_order2(sym, curv.n)
-    q2_closed, q3_closed = laplacian_inverse_closed_forms(curv, mode)
+    q2_closed, q3_closed = laplacian_inverse_closed_forms(curv)
 
     sigma1 = sym.take_degree(1)
-    sigma1_closed = laplacian_sigma1_closed_form(curv, mode)
-    if not symbols_equal(sigma1, sigma1_closed, tol):
+    sigma1_closed = laplacian_sigma1_closed_form(curv)
+    if not symbols_equal(sigma1, sigma1_closed):
         raise VerificationError(
             "jet-built sigma_1 of the Laplacian is off closed form "
             f"(residual {symbol_residual(sigma1, sigma1_closed):.6g})"
         )
-    if not symbols_equal(q2, q2_closed, tol):
+    if not symbols_equal(q2, q2_closed):
         raise VerificationError(
             f"sigma_-2 mismatch (residual {symbol_residual(q2, q2_closed):.6g})"
         )
     q3_valid, q3_closed = q3.truncate_jets(1), q3_closed.truncate_jets(1)
-    if not symbols_equal(q3_valid, q3_closed, tol):
+    if not symbols_equal(q3_valid, q3_closed):
         raise VerificationError(
             f"sigma_-3 mismatch (residual {symbol_residual(q3_valid, q3_closed):.6g})"
         )
@@ -538,7 +539,7 @@ def rescaled_dirac_square_sigma1_pieces(s: Scenario, degree: int = 1) -> Dict[st
     """
     n, fld = s.n, s.field
     cV = clifford_field_jet(s.V, degree)
-    w2 = norm_sq_jet(s.V, degree)
+    w2cV = norm_sq_jet(s.V, degree) * cV
     pieces: Dict[str, Symbol] = {}
 
     grad_terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
@@ -546,7 +547,7 @@ def rescaled_dirac_square_sigma1_pieces(s: Scenario, degree: int = 1) -> Dict[st
         dj = clifford_of_vector(s.V.row(j))
         if dj.is_zero():
             continue
-        jet = (w2 * cV * Jet.constant(n, degree, dj)).scale(fld.i * fld.of(2))
+        jet = (w2cV * Jet.constant(n, degree, dj)).scale(fld.i * fld.of(2))
         mono = tuple(1 if i == j else 0 for i in range(n))
         grad_terms[(mono, 0)] = jet
     pieces["vector_gradient"] = Symbol(n, degree, fld, grad_terms)
@@ -554,9 +555,10 @@ def rescaled_dirac_square_sigma1_pieces(s: Scenario, degree: int = 1) -> Dict[st
     x_terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
     if not s.X.is_zero():
         cX = Jet.constant(n, degree, clifford_of_vector(s.X))
+        w2cVcX = w2cV * cX
         for j in range(n):
             ej = Jet.constant(n, degree, CliffordElement.basis(n, j + 1, fld.one))
-            jet = w2 * cV * ej * cX * cV + w2 * cV * cX * ej * cV
+            jet = w2cV * ej * cX * cV + w2cVcX * ej * cV
             if jet.is_zero():
                 continue
             mono = tuple(1 if i == j else 0 for i in range(n))
@@ -567,9 +569,10 @@ def rescaled_dirac_square_sigma1_pieces(s: Scenario, degree: int = 1) -> Dict[st
     c_d = d_norm_sq_clifford_jet(s.V, degree)
     if not c_d.is_zero():
         minus_i = fld.of(0) - fld.i
+        cVc_d = cV * c_d
         for j in range(n):
             ej = Jet.constant(n, degree, CliffordElement.basis(n, j + 1, fld.one))
-            jet = (cV * c_d * ej * cV).scale(minus_i)
+            jet = (cVc_d * ej * cV).scale(minus_i)
             if jet.is_zero():
                 continue
             mono = tuple(1 if i == j else 0 for i in range(n))
@@ -688,7 +691,7 @@ def _random_components(n: int, mode: str, rng: random.Random) -> Tuple:
     return tuple(complex(rng.gauss(0.0, 1.0)) for _ in range(n))
 
 
-def random_scenario(m: int, mode: str, rng: random.Random, with_x: bool = True) -> Scenario:
+def random_scenario(m: int, mode: str, rng: random.Random) -> Scenario:
     """Draw a scenario with small rational (exact) or normal (float) entries."""
     n = 2 * m
     while True:
@@ -696,14 +699,11 @@ def random_scenario(m: int, mode: str, rng: random.Random, with_x: bool = True) 
         if bool(value.dot(value)):
             break
     jac = tuple(_random_components(n, mode, rng) for _ in range(n))
-    x_vec = FrameVector(n, _random_components(n, mode, rng)) if with_x else FrameVector(
-        n, tuple(field_for_mode(mode).of(0) for _ in range(n))
-    )
     return Scenario(
         m=m,
         mode=mode,
         V=VectorFieldJet(value, jac),
-        X=x_vec,
+        X=FrameVector(n, _random_components(n, mode, rng)),
         u=FrameVector(n, _random_components(n, mode, rng)),
         v=FrameVector(n, _random_components(n, mode, rng)),
         w=FrameVector(n, _random_components(n, mode, rng)),

@@ -66,10 +66,10 @@ class Symbol:
         if field.kind == "float" and self.terms:
             self._prune_float()
 
-    def _prune_float(self, rel: float = 1e-14):
+    def _prune_float(self):
         """Drop rounding residue of exact cancellations (float mode only).
 
-        Coefficients below ``rel`` times the largest magnitude of their
+        Coefficients below 1e-14 times the largest magnitude of their
         (xi-degree, x-jet degree) group are noise far beneath the 1e-9
         comparison scale; keeping them densifies every later product.  Each
         group has its own scale because the groups are never compared with
@@ -87,7 +87,7 @@ class Symbol:
             deg = _xi_degree(key)
             kept_jet = {}
             for mono, elem in jet.terms.items():
-                eps = rel * scale[(deg, sum(mono))]
+                eps = 1e-14 * scale[(deg, sum(mono))]
                 kept = {b: c for b, c in elem.terms.items() if abs(complex(c)) > eps}
                 if kept:
                     kept_jet[mono] = CliffordElement(elem.dim, kept)

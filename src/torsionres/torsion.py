@@ -19,6 +19,10 @@ Everything is computed twice: term-by-term through the closed-form power
 expansion, and in one stroke through iterated symbol composition (the
 generic oracle).  The two must agree exactly in exact mode.
 
+The term route ends in the eight term symbols (``pipeline_symbols``),
+which depend on V and X alone; each density traces one of them under
+c(V)c(u)c(v)c(w)c(V) (``trace_terms``), so new u, v, w only retrace them.
+
 Jets in x are carried only where an x-derivative is taken.  The term
 route differentiates q_{-2} (in the inverse-gradient fragment and the
 power-cross sum) and sigma_1(T) (in H3), so it builds the operator, its
@@ -107,18 +111,18 @@ def trace_integrate(sym: Symbol, prefactor: CliffordElement, m: int, field) -> D
     return DensityValue(total / field.of(2**m), m)
 
 
-@dataclass
-class PipelineSymbols:
-    """The base-point symbols that ``term_densities`` traces."""
+_SUB_PIECE_TO_TERM = {
+    "vector_gradient": "l1",
+    "x_field": "l2",
+    "norm_gradient": "l3",
+    "inverse_gradient": "l4",
+    "power_cross": "l5",
+}
 
-    dirac: Symbol  # sigma_1(T) + sigma_0(T)
-    power_top: Symbol  # sigma_{-2m}
-    sub_pieces: Dict[str, Symbol]  # the five fragments of sigma_{-2m-1}
-    k_pieces: Tuple[Symbol, Symbol]
 
-
-def pipeline_symbols(s: Scenario, tol: float = 0.0) -> PipelineSymbols:
-    """Build and cross-check every symbol the per-term pipeline needs.
+def pipeline_symbols(s: Scenario, tol: float = 0.0) -> Dict[str, Symbol]:
+    """Build and cross-check the degree -2m symbols of h1, l1..l5, k1, k2,
+    in ``TERM_NAMES`` order and at the base point.
 
     The operator, its square and the inverse q_{-2}, q_{-3} are built with
     first-order jets, because the geometry checks compare them as jets and
@@ -210,42 +214,26 @@ def pipeline_symbols(s: Scenario, tol: float = 0.0) -> PipelineSymbols:
             f"(residual {symbol_residual(k_sum, expected):.6g})"
         )
 
-    return PipelineSymbols(
-        dirac=dirac.evaluate_jets_at_origin(),
-        power_top=power_top,
-        sub_pieces=sub_pieces,
-        k_pieces=(k1_sym, k2_sym),
-    )
+    # the last product of each term with sigma_0(T) or sigma_1(T)
+    at_origin = dirac.evaluate_jets_at_origin()
+    out = {"h1": symbol_product(power_top, at_origin.take_degree(0)).take_degree(-n)}
+    sigma1_at_origin = at_origin.take_degree(1)
+    for piece_name, term_name in _SUB_PIECE_TO_TERM.items():
+        out[term_name] = symbol_product(sub_pieces[piece_name], sigma1_at_origin).take_degree(-n)
+    out.update(k1=k1_sym.take_degree(-n), k2=k2_sym.take_degree(-n))
+    return out
 
 
-_SUB_PIECE_TO_TERM = {
-    "vector_gradient": "l1",
-    "x_field": "l2",
-    "norm_gradient": "l3",
-    "inverse_gradient": "l4",
-    "power_cross": "l5",
-}
+def trace_terms(
+    symbols: Dict[str, Symbol], prefactor: CliffordElement, m: int
+) -> Dict[str, DensityValue]:
+    """``trace_integrate`` of each term symbol under one prefactor."""
+    return {name: trace_integrate(sym, prefactor, m, sym.field) for name, sym in symbols.items()}
 
 
 def term_densities(s: Scenario, tol: float = 0.0) -> Dict[str, DensityValue]:
     """Machine values of h1, l1..l5, k1, k2 for one scenario."""
-    n, m, fld = s.n, s.m, s.field
-    pipe = pipeline_symbols(s, tol)
-    pre = torsion_prefactor_element(s)
-    sigma1 = pipe.dirac.take_degree(1)
-    sigma0 = pipe.dirac.take_degree(0)
-
-    out: Dict[str, DensityValue] = {}
-    h1_sym = symbol_product(pipe.power_top, sigma0)
-    out["h1"] = trace_integrate(h1_sym.take_degree(-n), pre, m, fld)
-
-    for piece_name, term_name in _SUB_PIECE_TO_TERM.items():
-        sym = symbol_product(pipe.sub_pieces[piece_name], sigma1).take_degree(-n)
-        out[term_name] = trace_integrate(sym, pre, m, fld)
-
-    for name, sym in zip(("k1", "k2"), pipe.k_pieces):
-        out[name] = trace_integrate(sym.take_degree(-n), pre, m, fld)
-    return out
+    return trace_terms(pipeline_symbols(s, tol), torsion_prefactor_element(s), s.m)
 
 
 def _iterated_composition_density(
@@ -286,17 +274,19 @@ def sum_terms(terms: Dict[str, DensityValue]) -> DensityValue:
 
 @dataclass
 class TermBreakdown:
-    """Per-term densities, their sum, and the generic oracle."""
+    """Per-term densities and the symbols they trace, their sum, and the generic oracle."""
 
     terms: Dict[str, DensityValue]
     assembled: DensityValue
     composition_oracle: DensityValue
+    symbols: Dict[str, Symbol]
 
 
 def assemble_density(s: Scenario, tol: float = 0.0) -> TermBreakdown:
     """Both routes: the machine terms with their sum, and the generic oracle."""
-    terms = term_densities(s, tol)
-    return TermBreakdown(terms, sum_terms(terms), composition_oracle_density(s))
+    symbols = pipeline_symbols(s, tol)
+    terms = trace_terms(symbols, torsion_prefactor_element(s), s.m)
+    return TermBreakdown(terms, sum_terms(terms), composition_oracle_density(s), symbols)
 
 
 def plain_dirac_torsion_density(

@@ -465,3 +465,20 @@ def test_sweep_trial_runs_the_oracle_once(monkeypatch):
     out = scenario_invariant_suite(random_scenario(2, "exact", random.Random(3)), random.Random(3))
     assert out.passed and len(out.lines) == 8
     assert len(calls) == 1
+
+
+def test_sweep_trial_retraces_the_u_variants(monkeypatch):
+    """The u-scaled and u<->w scenarios of a sweep trial trace the scenario's
+    own term symbols; only the scenario, the new X, the new Jacobian and 2V
+    build term symbols."""
+    calls = []
+    build = torsion.pipeline_symbols
+
+    def counted(s, tol=0.0):
+        calls.append(s)
+        return build(s, tol)
+
+    monkeypatch.setattr(torsion, "pipeline_symbols", counted)
+    out = scenario_invariant_suite(random_scenario(2, "exact", random.Random(3)), random.Random(3))
+    assert out.passed and len(out.lines) == 8
+    assert len(calls) == 4

@@ -158,8 +158,8 @@ def test_laplacian_mismatch_reports_its_residual(monkeypatch):
     extra = CliffordElement.scalar(4, EXACT.of(3))
     # sigma_1 closed form + 3 xi_1
     sigma1_closed = geometry.laplacian_sigma1_closed_form
-    monkeypatch.setattr(geometry, "laplacian_sigma1_closed_form", lambda c, mode="exact": (
-        sigma1_closed(c, mode)
+    monkeypatch.setattr(geometry, "laplacian_sigma1_closed_form", lambda c: (
+        sigma1_closed(c)
         + Symbol(4, 2, EXACT, {((1, 0, 0, 0), 0): Jet.constant(4, 2, extra)})
     ))
     with pytest.raises(VerificationError, match=r"sigma_1 .*\(residual 3\)$"):
@@ -168,13 +168,13 @@ def test_laplacian_mismatch_reports_its_residual(monkeypatch):
 
     closed = geometry.laplacian_inverse_closed_forms(curv)
     # half of |xi|^{-2}
-    monkeypatch.setattr(geometry, "laplacian_inverse_closed_forms", lambda c, mode="exact": (
+    monkeypatch.setattr(geometry, "laplacian_inverse_closed_forms", lambda c: (
         closed[0].scale(EXACT.of(Fraction(1, 2))), closed[1]
     ))
     with pytest.raises(VerificationError, match=r"sigma_-2 .*\(residual 0\.5\)$"):
         laplacian_inverse_check(curv)
     # sigma_{-3} closed form + 3 xi_1 |xi|^{-4}
-    monkeypatch.setattr(geometry, "laplacian_inverse_closed_forms", lambda c, mode="exact": (
+    monkeypatch.setattr(geometry, "laplacian_inverse_closed_forms", lambda c: (
         closed[0], closed[1] + Symbol(4, 2, EXACT, {((1, 0, 0, 0), -2): Jet.constant(4, 2, extra)})
     ))
     with pytest.raises(VerificationError, match=r"sigma_-3 .*\(residual 3\)$"):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,9 +21,11 @@ from torsionres.torsion import (
     assemble_density,
     composition_oracle_density,
     lemma34_contraction,
+    pipeline_symbols,
     plain_dirac_torsion_density,
     term_densities,
     torsion_prefactor_element,
+    trace_terms,
 )
 
 from conftest import exact_vector
@@ -204,6 +207,28 @@ def test_trilinearity():
     td, td2, tds = term_densities(s), term_densities(s_u2), term_densities(s_sum)
     for name in TERM_NAMES:
         assert tds[name].value == td[name].value + td2[name].value, name
+
+
+@pytest.mark.parametrize("m,mode,seed", [(2, "exact", 51), (3, "exact", 52), (2, "float", 53)])
+def test_term_symbols_do_not_depend_on_u_v_w(m, mode, seed):
+    """u, v and w enter only through the prefactor: the term symbols of one
+    scenario, traced under the prefactor of a scenario with other u, v, w,
+    give that scenario's term densities exactly (bit for bit in float)."""
+    rng = random.Random(seed)
+    s = random_scenario(m, mode, rng)
+    fresh = random_scenario(m, mode, rng)
+    tol = 1e-9 if mode == "float" else 0.0
+    symbols = pipeline_symbols(s, tol)
+    assert list(symbols) == list(TERM_NAMES)
+    for derived in (
+        replace(s, u=s.u.scale(s.field.of(2))),
+        replace(s, u=s.w, w=s.u),
+        replace(s, u=fresh.u, v=fresh.v, w=fresh.w),
+    ):
+        retraced = trace_terms(symbols, torsion_prefactor_element(derived), m)
+        direct = term_densities(derived, tol)
+        for name in TERM_NAMES:
+            assert retraced[name] == direct[name], name
 
 
 def test_outer_argument_symmetry():
