@@ -38,8 +38,6 @@ from .spheres import (
 )
 from .symbols import (
     Symbol,
-    inverse_power_symbols,
-    power_by_composition,
     symbol_compose,
     symbol_invert_order2,
     symbol_product,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Sequence
 
 from .clifford import FrameVector, clifford_of_vector
 from .gamma import build_gamma_matrices, anticommutation_residual, verify_representation
@@ -103,8 +103,7 @@ def check_square_symbols(seed: int = 0) -> CheckOutcome:
         composed = symbol_compose(dirac, dirac, 1)
         ok2 = symbols_equal(composed.take_degree(2), closed.take_degree(2))
         ok1 = symbols_equal(
-            composed.take_degree(1).evaluate_jets_at_origin(),
-            closed.take_degree(1).evaluate_jets_at_origin(),
+            composed.take_degree(1).evaluate_jets_at_origin(), closed.take_degree(1)
         )
         out.record(ok2 and ok1, f"m={m} case {k + 1}: sigma_2 {ok2}, sigma_1 {ok1}")
         out.cases += 1
@@ -291,8 +290,12 @@ def scenario_invariant_suite(s: Scenario, rng: random.Random, tol: float = 0.0) 
     and reality.  Then X-independence, linearity in u, outer-argument
     symmetry, Jacobian reduction and the scaling law, on derived scenarios:
     a new X, Jacobian or V runs the term route alone, and the u-variants
-    retrace the scenario's own term symbols.  Every float value is judged
-    by the report's rule, relative to the largest term compared.
+    retrace the scenario's own term symbols.  The assembled density is 0 in
+    exact mode, so the two u-variants also judge the terms: linearity each
+    of the eight, and the u<->w exchange l2..l5 and h1 + l1 + k1 + k2 (each
+    of those four changes, by parts that cancel in their sum).  Every float
+    value is judged by the report's rule, relative to the largest term
+    compared.
     """
     out = _new_outcome("invariants")
     fld = s.field
@@ -302,9 +305,10 @@ def scenario_invariant_suite(s: Scenario, rng: random.Random, tol: float = 0.0) 
     def compare(left, right, *term_sets) -> Comparison:
         return Comparison("invariant", left, right, True, tol, term_scale(*term_sets))
 
-    def record(rows: List[Comparison], line: str) -> None:
+    def record(rows: List[Comparison], line: str, gates: Sequence[Comparison] = ()) -> None:
         worst = max(abs(row.diff) for row in rows)
-        out.record(all(row.passed for row in rows), line.format(worst), worst)
+        passed = all(row.passed for row in [*rows, *gates])
+        out.record(passed, line.format(worst), worst)
 
     def term_route(scenario: Scenario):
         terms = term_densities(scenario, tol)
@@ -335,18 +339,26 @@ def scenario_invariant_suite(s: Scenario, rng: random.Random, tol: float = 0.0) 
     record([compare(bd.assembled, x_sum, bd.terms, x_terms)],
            "assembled density is X-independent (residual {:.2e})")
 
-    # trilinearity in u (assembled is linear in the prefactor argument)
-    two_u_sum, two_u_terms = retrace(replace(s, u=s.u.scale(fld.of(2))))
-    record([compare(two_u_sum, bd.assembled.scale(fld.of(2)), bd.terms, two_u_terms)],
+    # trilinearity in u: each term is linear in the prefactor argument
+    two = fld.of(2)
+    two_u_sum, two_u_terms = retrace(replace(s, u=s.u.scale(two)))
+    record([compare(two_u_sum, bd.assembled.scale(two), bd.terms, two_u_terms)]
+           + [compare(two_u_terms[name], bd.terms[name].scale(two), bd.terms, two_u_terms)
+              for name in TERM_NAMES],
            "density is linear in u (residual {:.2e})")
 
     s_wu = replace(s, u=s.w, w=s.u)
     wu_sum, wu_terms = retrace(s_wu)
-    swapped = compare(bd.assembled, wu_sum, bd.terms, wu_terms)
+
+    def exchanged(*names: str) -> Comparison:
+        return compare(sum_terms(bd.terms, names), sum_terms(wu_terms, names),
+                       bd.terms, wu_terms)
+
     theorem = compare(theorem_density(s), theorem_density(s_wu), bd.terms, wu_terms)
-    r = abs(swapped.diff)
-    out.record(swapped.passed and theorem.passed,
-               f"outer arguments u<->w may be exchanged (residual {r:.2e})", r)
+    record([compare(bd.assembled, wu_sum, bd.terms, wu_terms)]
+           + [exchanged(name) for name in ("l2", "l3", "l4", "l5")]
+           + [exchanged("h1", "l1", "k1", "k2")],
+           "outer arguments u<->w may be exchanged (residual {:.2e})", [theorem])
 
     jac_sum, jac_terms = term_route(_perturbed_jacobian(s, rng))
     record([compare(bd.assembled, jac_sum, bd.terms, jac_terms)],

@@ -9,10 +9,13 @@ Two sub-models live here.
 
 * The rescaled-Dirac model: normal coordinates are hard-wired at the base
   point (metric delta, vanishing metric first derivatives and spin
-  connection), the rescaling field V is carried to first order through its
-  value and Jacobian, and X enters by value only.  Curvature corrections
-  are dropped here; they only enter the torsion densities at orders that
-  vanish at the base point.
+  connection), the rescaling field V enters through its value and
+  Jacobian, and X by value only.  Jets are first order and kept only where
+  an x-derivative is taken: sigma_1 of the operator and sigma_2 of its
+  square (hence q_{-2}).  sigma_0 of the operator and sigma_1 of the
+  square are read only at the base point and built there.  Curvature
+  corrections are dropped here; they only enter the torsion densities at
+  orders that vanish at the base point.
 """
 
 from __future__ import annotations
@@ -265,15 +268,18 @@ def laplacian_sigma1_closed_form(curv: CurvatureData) -> Symbol:
     return Symbol(n, 2, fld, terms)
 
 
-def laplacian_inverse_closed_forms(curv: CurvatureData) -> Tuple[Symbol, Symbol]:
+def laplacian_inverse_closed_forms(
+    jets: NormalMetricJets, sigma1_closed: Symbol
+) -> Tuple[Symbol, Symbol]:
     """Target symbols for the inverse Laplacian in normal coordinates.
 
     sigma_{-2} = |xi|^{-4} (delta_ab - (1/3) R_acbd x^c x^d) xi_a xi_b
     sigma_{-3} = -(2i/3) Ric_ab x^a xi_b |xi|^{-4}
+
+    Both come from what the check has already built: the metric jets, and
+    ``sigma1_closed`` from ``laplacian_sigma1_closed_form``.
     """
-    n = curv.n
-    fld = EXACT
-    jets = build_metric_jets(curv)
+    n, fld = jets.n, jets.field
     terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
     zero_mono = (0,) * n
     one_jet = Jet.constant(n, 2, CliffordElement.scalar(n, fld.one))
@@ -291,7 +297,7 @@ def laplacian_inverse_closed_forms(curv: CurvatureData) -> Tuple[Symbol, Symbol]
         n, 2, fld,
         {
             (mono, k - 2): jet.scale(fld.of(-1))
-            for (mono, k), jet in laplacian_sigma1_closed_form(curv).terms.items()
+            for (mono, k), jet in sigma1_closed.terms.items()
         },
     )
     return q2_closed, q3_closed
@@ -307,10 +313,10 @@ def laplacian_inverse_check(curv: CurvatureData) -> Tuple[Symbol, Symbol]:
     jets = build_metric_jets(curv)
     sym = laplacian_symbol(jets)
     q2, q3 = symbol_invert_order2(sym, curv.n)
-    q2_closed, q3_closed = laplacian_inverse_closed_forms(curv)
+    sigma1_closed = laplacian_sigma1_closed_form(curv)
+    q2_closed, q3_closed = laplacian_inverse_closed_forms(jets, sigma1_closed)
 
     sigma1 = sym.take_degree(1)
-    sigma1_closed = laplacian_sigma1_closed_form(curv)
     if not symbols_equal(sigma1, sigma1_closed):
         raise VerificationError(
             "jet-built sigma_1 of the Laplacian is off closed form "
@@ -320,10 +326,9 @@ def laplacian_inverse_check(curv: CurvatureData) -> Tuple[Symbol, Symbol]:
         raise VerificationError(
             f"sigma_-2 mismatch (residual {symbol_residual(q2, q2_closed):.6g})"
         )
-    q3_valid, q3_closed = q3.truncate_jets(1), q3_closed.truncate_jets(1)
-    if not symbols_equal(q3_valid, q3_closed):
+    if not symbols_equal(q3, q3_closed):
         raise VerificationError(
-            f"sigma_-3 mismatch (residual {symbol_residual(q3_valid, q3_closed):.6g})"
+            f"sigma_-3 mismatch (residual {symbol_residual(q3, q3_closed):.6g})"
         )
     return q2, q3
 
@@ -425,7 +430,7 @@ class Scenario:
         return field_for_mode(self.mode)
 
 
-def clifford_field_jet(V: VectorFieldJet, degree: int = 1) -> Jet:
+def clifford_field_jet(V: VectorFieldJet) -> Jet:
     """c(V(x)) = c(V_0) + sum_j x_j c(dV/dx_j), exact for a linear field."""
     n = V.dim
     terms = {(0,) * n: clifford_of_vector(V.value)}
@@ -435,16 +440,11 @@ def clifford_field_jet(V: VectorFieldJet, degree: int = 1) -> Jet:
             continue
         mono = tuple(1 if i == j else 0 for i in range(n))
         terms[mono] = row
-    return Jet(n, degree, terms)
+    return Jet(n, 1, terms)
 
 
-def norm_sq_jet(V: VectorFieldJet, degree: int = 1) -> Jet:
-    """|V(x)|^2 to the requested order.
-
-    The linear coefficient is d|V|^2; with ``degree`` = 2 the exact
-    quadratic part sum_ab x_a x_b (J_a . J_b) is kept as well, which makes
-    the jet exact for a linear field.
-    """
+def norm_sq_jet(V: VectorFieldJet) -> Jet:
+    """|V(x)|^2 to first order: |V_0|^2 + sum_j x_j d_j|V|^2."""
     n = V.dim
     d = V.d_norm_sq()
     terms = {(0,) * n: CliffordElement.scalar(n, V.norm_sq())}
@@ -453,181 +453,146 @@ def norm_sq_jet(V: VectorFieldJet, degree: int = 1) -> Jet:
         if bool(c):
             mono = tuple(1 if i == j else 0 for i in range(n))
             terms[mono] = CliffordElement.scalar(n, c)
-    if degree >= 2:
-        for a in range(n):
-            for b in range(a, n):
-                total = V.jacobian[a][0] * V.jacobian[b][0]
-                for k in range(1, n):
-                    total = total + V.jacobian[a][k] * V.jacobian[b][k]
-                if not bool(total):
-                    continue
-                if a != b:
-                    total = 2 * total
-                mono = tuple(
-                    (1 if i == a else 0) + (1 if i == b else 0) for i in range(n)
-                )
-                terms[mono] = CliffordElement.scalar(n, total)
-    return Jet(n, degree, terms)
+    return Jet(n, 1, terms)
 
 
-def d_norm_sq_clifford_jet(V: VectorFieldJet, degree: int = 1) -> Jet:
-    """c(d|V(x)|^2), exact for a linear field.
-
-    Component j of d|V|^2 at x is 2 sum_a V_a(x) J[j][a]; its x_mu
-    coefficient is 2 sum_a J[mu][a] J[j][a].
-    """
-    n = V.dim
-    const = clifford_of_vector(V.d_norm_sq())
-    terms = {(0,) * n: const} if not const.is_zero() else {}
-    for mu in range(n):
-        comps = []
-        for j in range(n):
-            total = V.jacobian[mu][0] * V.jacobian[j][0]
-            for a in range(1, n):
-                total = total + V.jacobian[mu][a] * V.jacobian[j][a]
-            comps.append(2 * total)
-        lin = clifford_of_vector(FrameVector(n, tuple(comps)))
-        if lin.is_zero():
-            continue
-        mono = tuple(1 if i == mu else 0 for i in range(n))
-        terms[mono] = lin
-    return Jet(n, degree, terms)
+def _base_point_symbol(
+    n: int, fld, elements: Dict[Tuple[Tuple[int, ...], int], CliffordElement]
+) -> Symbol:
+    """A symbol whose coefficients are constant jets."""
+    return Symbol(n, 1, fld, {key: Jet.constant(n, 1, c) for key, c in elements.items()})
 
 
-def rescaled_dirac_symbols(s: Scenario, degree: int = 1) -> Symbol:
+def rescaled_dirac_symbols(s: Scenario) -> Symbol:
     """Symbols of c(V)(D + i c(X))c(V) in normal coordinates at the base point.
 
     sigma_1 = i sum_j c(V) c(e_j) c(V) xi_j
     sigma_0 = sum_j c(V) c(e_j) d_j[c(V)] + i c(V) c(X) c(V)
 
-    The spin-connection contribution to sigma_0 vanishes at the base point
-    and is not modelled beyond it; V is carried to first order.
+    sigma_1 keeps its first-order jets, since H3 and the oracle take its
+    x-derivative.  sigma_0 is only read at the base point and is built
+    there.  The spin-connection contribution to sigma_0 vanishes at the
+    base point and is not modelled.
     """
     n, fld = s.n, s.field
-    cV = clifford_field_jet(s.V, degree)
+    cV = clifford_field_jet(s.V)
     terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
     for j in range(n):
         ej = CliffordElement.basis(n, j + 1, fld.one)
-        jet = (cV * Jet.constant(n, degree, ej) * cV).scale(fld.i)
+        jet = (cV * Jet.constant(n, 1, ej) * cV).scale(fld.i)
         if jet.is_zero():
             continue
         mono = tuple(1 if i == j else 0 for i in range(n))
         terms[(mono, 0)] = jet
 
-    sigma0 = Jet(n, degree, {})
+    cV0 = clifford_of_vector(s.V.value)
+    sigma0 = CliffordElement.zero(n)
     for j in range(n):
-        ej = CliffordElement.basis(n, j + 1, fld.one)
         dj = clifford_of_vector(s.V.row(j))
         if dj.is_zero():
             continue
-        sigma0 = sigma0 + cV * Jet.constant(n, degree, ej) * Jet.constant(n, degree, dj)
+        sigma0 = sigma0 + cV0 * CliffordElement.basis(n, j + 1, fld.one) * dj
     if not s.X.is_zero():
-        cX = clifford_of_vector(s.X)
-        sigma0 = sigma0 + (cV * Jet.constant(n, degree, cX) * cV).scale(fld.i)
+        sigma0 = sigma0 + (cV0 * clifford_of_vector(s.X) * cV0).scale(fld.i)
     if not sigma0.is_zero():
-        terms[((0,) * n, 0)] = sigma0
-    return Symbol(n, degree, fld, terms)
+        terms[((0,) * n, 0)] = Jet.constant(n, 1, sigma0)
+    return Symbol(n, 1, fld, terms)
 
 
-def rescaled_dirac_square_sigma1_pieces(s: Scenario, degree: int = 1) -> Dict[str, Symbol]:
-    """The first-order symbol of the square, split the way the density
-    pipeline groups it:
+def rescaled_dirac_square_sigma1_pieces(s: Scenario) -> Dict[str, Symbol]:
+    """The first-order symbol of the square at the base point, split the
+    way the density pipeline groups it:
 
     vector_gradient : 2i |V|^2 c(V) sum_j d_j[c(V)] xi_j
     x_field         : |V|^2 c(V) [ c(e_j) c(X) c(V) + c(X) c(e_j) c(V) ] xi_j
     norm_gradient   : -i c(V) c(d|V|^2) sum_j c(e_j) c(V) xi_j
+
+    Every reader takes these at the base point (the inverse keeps q_{-3}
+    there), so they are built from base-point values.
     """
     n, fld = s.n, s.field
-    cV = clifford_field_jet(s.V, degree)
-    w2cV = norm_sq_jet(s.V, degree) * cV
+    cV = clifford_of_vector(s.V.value)
+    w2cV = CliffordElement.scalar(n, s.V.norm_sq()) * cV
+    basis = [CliffordElement.basis(n, j + 1, fld.one) for j in range(n)]
+    monos = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     pieces: Dict[str, Symbol] = {}
 
-    grad_terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
+    two_i = fld.i * fld.of(2)
+    grad_terms: Dict[Tuple[Tuple[int, ...], int], CliffordElement] = {}
     for j in range(n):
         dj = clifford_of_vector(s.V.row(j))
-        if dj.is_zero():
-            continue
-        jet = (w2cV * Jet.constant(n, degree, dj)).scale(fld.i * fld.of(2))
-        mono = tuple(1 if i == j else 0 for i in range(n))
-        grad_terms[(mono, 0)] = jet
-    pieces["vector_gradient"] = Symbol(n, degree, fld, grad_terms)
+        if not dj.is_zero():
+            grad_terms[(monos[j], 0)] = (w2cV * dj).scale(two_i)
+    pieces["vector_gradient"] = _base_point_symbol(n, fld, grad_terms)
 
-    x_terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
+    x_terms: Dict[Tuple[Tuple[int, ...], int], CliffordElement] = {}
     if not s.X.is_zero():
-        cX = Jet.constant(n, degree, clifford_of_vector(s.X))
+        cX = clifford_of_vector(s.X)
         w2cVcX = w2cV * cX
         for j in range(n):
-            ej = Jet.constant(n, degree, CliffordElement.basis(n, j + 1, fld.one))
-            jet = w2cV * ej * cX * cV + w2cVcX * ej * cV
-            if jet.is_zero():
-                continue
-            mono = tuple(1 if i == j else 0 for i in range(n))
-            x_terms[(mono, 0)] = jet
-    pieces["x_field"] = Symbol(n, degree, fld, x_terms)
+            x_terms[(monos[j], 0)] = w2cV * basis[j] * cX * cV + w2cVcX * basis[j] * cV
+    pieces["x_field"] = _base_point_symbol(n, fld, x_terms)
 
-    d_terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
-    c_d = d_norm_sq_clifford_jet(s.V, degree)
+    d_terms: Dict[Tuple[Tuple[int, ...], int], CliffordElement] = {}
+    c_d = clifford_of_vector(s.V.d_norm_sq())
     if not c_d.is_zero():
         minus_i = fld.of(0) - fld.i
         cVc_d = cV * c_d
         for j in range(n):
-            ej = Jet.constant(n, degree, CliffordElement.basis(n, j + 1, fld.one))
-            jet = (cVc_d * ej * cV).scale(minus_i)
-            if jet.is_zero():
-                continue
-            mono = tuple(1 if i == j else 0 for i in range(n))
-            d_terms[(mono, 0)] = jet
-    pieces["norm_gradient"] = Symbol(n, degree, fld, d_terms)
+            d_terms[(monos[j], 0)] = (cVc_d * basis[j] * cV).scale(minus_i)
+    pieces["norm_gradient"] = _base_point_symbol(n, fld, d_terms)
     return pieces
 
 
 def rescaled_dirac_square_symbols(
-    s: Scenario, pieces: Optional[Dict[str, Symbol]] = None, degree: int = 1
+    s: Scenario, pieces: Optional[Dict[str, Symbol]] = None
 ) -> Symbol:
-    """Closed-form symbols of the squared operator: sigma_2 = |V|^4 |xi|^2
-    plus the three first-order groups; Christoffel/connection terms vanish
-    at the base point."""
+    """Closed-form symbols of the squared operator: sigma_2 = |V|^4 |xi|^2,
+    with first-order jets, plus the three first-order groups at the base
+    point; Christoffel/connection terms vanish at the base point."""
     n, fld = s.n, s.field
-    w2 = norm_sq_jet(s.V, degree)
-    w4 = w2 * w2
-    sym = Symbol(n, degree, fld, {((0,) * n, 1): w4})
+    w2 = norm_sq_jet(s.V)
+    sym = Symbol(n, 1, fld, {((0,) * n, 1): w2 * w2})
     if pieces is None:
-        pieces = rescaled_dirac_square_sigma1_pieces(s, degree)
+        pieces = rescaled_dirac_square_sigma1_pieces(s)
     for piece in pieces.values():
         sym = sym + piece
     return sym
 
 
 def rescaled_dirac_inverse_closed_forms(
-    s: Scenario, pieces: Optional[Dict[str, Symbol]] = None, degree: int = 1
+    s: Scenario, pieces: Optional[Dict[str, Symbol]] = None
 ) -> Tuple[Symbol, Symbol]:
-    """Closed-form inverse symbols of the squared operator.
+    """Closed-form inverse symbols of the squared operator, q_{-2} with
+    first-order jets and q_{-3} at the base point.
 
     q_{-2} = |V|^{-4} |xi|^{-2}
     q_{-3} = -|V|^{-8} |xi|^{-4} sigma_1(square) + 2i |xi|^{-4} xi_mu d_mu(|V|^{-4})
     """
     n, fld = s.n, s.field
-    w2 = norm_sq_jet(s.V, degree)
-    w4 = w2 * w2
-    w4_inv = invert_scalar_jet(w4, n, fld)
-    w8_inv = w4_inv * w4_inv
-    q2 = Symbol(n, degree, fld, {((0,) * n, -1): w4_inv})
+    w2 = norm_sq_jet(s.V)
+    w4_inv = invert_scalar_jet(w2 * w2, n, fld)
+    w8_inv = (w4_inv * w4_inv).value_at_origin(n)
+    q2 = Symbol(n, 1, fld, {((0,) * n, -1): w4_inv})
 
-    q3 = Symbol.zero(n, degree, fld)
+    q3 = Symbol.zero(n, 1, fld)
     if pieces is None:
-        pieces = rescaled_dirac_square_sigma1_pieces(s, degree)
-    sigma1 = Symbol.zero(n, degree, fld)
+        pieces = rescaled_dirac_square_sigma1_pieces(s)
+    sigma1 = Symbol.zero(n, 1, fld)
     for piece in pieces.values():
         sigma1 = sigma1 + piece
+    minus_one = fld.of(-1)
     for (mono, k), jet in sigma1.terms.items():
-        q3 = q3 + Symbol(n, degree, fld, {(mono, k - 2): (w8_inv * jet).scale(fld.of(-1))})
+        q3 = q3 + _base_point_symbol(
+            n, fld, {(mono, k - 2): (w8_inv * jet.value_at_origin(n)).scale(minus_one)}
+        )
     two_i = fld.i * fld.of(2)
     for mu in range(n):
         dj = w4_inv.partial_x(mu + 1)
         if dj.is_zero():
             continue
         mono = tuple(1 if i == mu else 0 for i in range(n))
-        q3 = q3 + Symbol(n, degree, fld, {(mono, -2): dj.scale(two_i)})
+        q3 = q3 + Symbol(n, 1, fld, {(mono, -2): dj.scale(two_i)})
     return q2, q3
 
 
@@ -636,37 +601,30 @@ def rescaled_dirac_inverse_symbols(
     tol: float = 0.0,
     square: Optional[Symbol] = None,
     pieces: Optional[Dict[str, Symbol]] = None,
-    degree: int = 1,
 ) -> Tuple[Symbol, Symbol]:
-    """Invert the squared-operator symbol and confirm the closed forms.
-
-    With degree-1 jets the q_{-3} comparison is made at the base point
-    (its value already carries the first derivatives of V); with degree-2
-    jets both symbols are compared through first jet order.
-    """
+    """Invert the squared-operator symbol and confirm the closed forms:
+    q_{-2} through first jet order, q_{-3} at the base point (its value
+    already carries the first derivatives of V)."""
     if pieces is None:
-        pieces = rescaled_dirac_square_sigma1_pieces(s, degree)
+        pieces = rescaled_dirac_square_sigma1_pieces(s)
     if square is None:
-        square = rescaled_dirac_square_symbols(s, pieces, degree)
+        square = rescaled_dirac_square_symbols(s, pieces)
     q2, q3 = symbol_invert_order2(square, s.n)
-    q2_closed, q3_closed = rescaled_dirac_inverse_closed_forms(s, pieces, degree)
+    q2_closed, q3_closed = rescaled_dirac_inverse_closed_forms(s, pieces)
     if not symbols_equal(q2, q2_closed, tol):
         raise VerificationError(
             "q_{-2} recursion does not match |V|^{-4}|xi|^{-2} "
             f"(residual {symbol_residual(q2, q2_closed):.6g})"
         )
-    q3_order = degree - 1
-    q3_valid = q3.truncate_jets(q3_order)
-    q3_closed = q3_closed.truncate_jets(q3_order)
-    if not symbols_equal(q3_valid, q3_closed, tol):
+    if not symbols_equal(q3, q3_closed, tol):
         raise VerificationError(
             "q_{-3} recursion does not match its closed form "
-            f"(residual {symbol_residual(q3_valid, q3_closed):.6g})"
+            f"(residual {symbol_residual(q3, q3_closed):.6g})"
         )
     return q2, q3
 
 
-def plain_dirac_symbols(m: int, mode: str = "exact", degree: int = 1) -> Symbol:
+def plain_dirac_symbols(m: int, mode: str = "exact") -> Symbol:
     """Symbols of the plain Dirac operator at the base point: i c(xi) and 0."""
     n = 2 * m
     fld = field_for_mode(mode)
@@ -674,8 +632,8 @@ def plain_dirac_symbols(m: int, mode: str = "exact", degree: int = 1) -> Symbol:
     for j in range(n):
         ej = CliffordElement.basis(n, j + 1, fld.one)
         mono = tuple(1 if i == j else 0 for i in range(n))
-        terms[(mono, 0)] = Jet.constant(n, degree, ej.scale(fld.i))
-    return Symbol(n, degree, fld, terms)
+        terms[(mono, 0)] = Jet.constant(n, 1, ej.scale(fld.i))
+    return Symbol(n, 1, fld, terms)
 
 
 # ---------------------------------------------------------------------------

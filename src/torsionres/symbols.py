@@ -11,8 +11,9 @@ x-derivatives, the full composition formula
     sigma(P Q) = sum_alpha (-i)^{|alpha|} / alpha! *
                  d_xi^alpha sigma(P) * d_x^alpha sigma(Q),
 
-the two-term inversion of a second-order symbol, and the negative-power
-symbol expansion together with its iterated-composition oracle.
+the two-term inversion of a second-order symbol, and the powers of q_{-2}
+with their power-cross sum (``power_expansion``), from which the term
+route builds the negative powers.
 
 An exact ``symbol_product`` does not multiply jets pair by pair: both
 symbols are flattened into one row per (xi key, x-monomial) and go through
@@ -456,39 +457,6 @@ def power_expansion(q2: Symbol, dq2: List[Symbol], m: int) -> Tuple[List[Symbol]
                 powers[k],
             )
     return powers, cross
-
-
-def inverse_power_symbols(q2: Symbol, q3: Symbol, m: int) -> Tuple[Symbol, Symbol]:
-    """Degrees -2m and -2m-1 of the m-th power of a (q_{-2}+q_{-3}) inverse.
-
-    s_{-2m}   = q_{-2}^m
-    s_{-2m-1} = m q_{-2}^{m-1} q_{-3} - i (power-cross sum of ``power_expansion``)
-    """
-    if m < 2:
-        raise ValueError(f"negative-power expansion needs m >= 2, got {m}")
-    field = q2.field
-    dq2 = [q2.partial_x(mu) for mu in range(1, q2.nvars + 1)]
-    powers, cross = power_expansion(q2, dq2, m)
-    s2m1 = symbol_product(powers[m - 1], q3).scale(field.of(m))
-    return powers[m], s2m1 - cross.scale(field.i)
-
-
-def power_by_composition(q2: Symbol, q3: Symbol, m: int) -> Tuple[Symbol, Symbol]:
-    """Oracle for ``inverse_power_symbols``: literally compose q with itself.
-
-    The m-th power needs m-1 pairwise compositions; only degrees down to
-    -2j-1 are kept after j factors, since anything deeper cannot climb
-    back up to the target degrees.
-    """
-    if m < 2:
-        raise ValueError(f"negative-power expansion needs m >= 2, got {m}")
-    q = q2 + q3
-    acc = q
-    factors = 1
-    while factors < m:
-        factors += 1
-        acc = symbol_compose(acc, q, -2 * factors - 1)
-    return acc.take_degree(-2 * m), acc.take_degree(-2 * m - 1)
 
 
 def _symbol_dim(s: Symbol) -> int:

@@ -23,17 +23,20 @@ The term route ends in the eight term symbols (``pipeline_symbols``),
 which depend on V and X alone; each density traces one of them under
 c(V)c(u)c(v)c(w)c(V) (``trace_terms``), so new u, v, w only retrace them.
 
-Jets in x are carried only where an x-derivative is taken.  The term
-route differentiates q_{-2} (in the inverse-gradient fragment and the
-power-cross sum) and sigma_1(T) (in H3), so it builds the operator, its
-square and their inverse with first-order jets, takes those derivatives,
-and evaluates every symbol at the base point before forming any product.
-The oracle composes the operator with itself with full jets, because
-the inverse of the square differentiates q_{-2}.  Every later composition
-(the powers of q_{-2} + q_{-3} and the last one with the operator) is
-taken at the base point: its left factor and each x-derivative of its
-right factor are evaluated there before their product, so the right
-factor's jets serve only its x-derivatives.
+Jets in x are first order and carried only where an x-derivative is
+taken.  The term route differentiates q_{-2} (in the inverse-gradient
+fragment and the power-cross sum) and sigma_1(T) (in H3); so sigma_1(T)
+and sigma_2 of the square, from which q_{-2} is inverted, carry jets,
+while sigma_0(T), sigma_1 of the square and q_{-3} come at the base point.
+The route takes those derivatives and evaluates every symbol at the base
+point before forming any product.  The oracle composes the operator with
+itself with these jets, because the inverse of the square differentiates
+q_{-2}; the x-derivative of sigma_0(T) it would need only meets factors
+of degree below -2m.  Every later composition (the powers of
+q_{-2} + q_{-3} and the last one with the operator) is taken at the base
+point: its left factor and each x-derivative of its right factor are
+evaluated there before their product, so the right factor's jets serve
+only its x-derivatives.
 """
 
 from __future__ import annotations
@@ -124,13 +127,14 @@ def pipeline_symbols(s: Scenario, tol: float = 0.0) -> Dict[str, Symbol]:
     """Build and cross-check the degree -2m symbols of h1, l1..l5, k1, k2,
     in ``TERM_NAMES`` order and at the base point.
 
-    The operator, its square and the inverse q_{-2}, q_{-3} are built with
-    first-order jets, because the geometry checks compare them as jets and
-    the densities need x-derivatives of two of them: d_x q_{-2} (the
+    The densities need x-derivatives of two symbols: d_x q_{-2} (the
     inverse-gradient and power-cross fragments) and d_x sigma_1(T) (the
-    H3 recombination check).  Those derivatives are taken first; then every
-    symbol is evaluated at the base point before any product, since the
-    constant term of a jet product is the product of the constant terms.
+    H3 recombination check).  So sigma_1(T) and the square's sigma_2 carry
+    first-order jets; sigma_0(T), the fragments of the square's sigma_1
+    and q_{-3} come at the base point.  The derivatives are taken first;
+    then every symbol is evaluated at the base point before any product,
+    since the constant term of a jet product is the product of the
+    constant terms.
 
     The four fragments of sigma_{-2m-1} other than the power-cross sum are
     asserted to add up to m q_{-2}^{m-1} q_{-3}; the H3 split is asserted to
@@ -142,8 +146,9 @@ def pipeline_symbols(s: Scenario, tol: float = 0.0) -> Dict[str, Symbol]:
     dsq = rescaled_dirac_square_symbols(s, frags)
     q2, q3 = rescaled_dirac_inverse_symbols(s, tol, square=dsq, pieces=frags)
 
-    # the only x-derivatives, then everything at the base point
-    dq2 = [q2.partial_x(mu).evaluate_jets_at_origin() for mu in range(1, n + 1)]
+    # the only x-derivatives (constant, the jets being first order), then
+    # everything at the base point
+    dq2 = [q2.partial_x(mu) for mu in range(1, n + 1)]
     sigma1 = dirac.take_degree(1)
     dsigma1 = [sigma1.partial_x(mu) for mu in range(1, n + 1)]
     q2 = q2.evaluate_jets_at_origin()  # q3 comes at the base point already
@@ -159,7 +164,6 @@ def pipeline_symbols(s: Scenario, tol: float = 0.0) -> Dict[str, Symbol]:
     sub_pieces: Dict[str, Symbol] = {}
     head = powers[m - 1].scale(fld.of(m))
     for name, frag in frags.items():
-        frag = frag.evaluate_jets_at_origin()
         body = symbol_product(symbol_product(q2, frag), q2).scale(minus_one)
         sub_pieces[name] = symbol_product(head, body)
 
@@ -263,11 +267,12 @@ def composition_oracle_density(s: Scenario) -> DensityValue:
     )
 
 
-def sum_terms(terms: Dict[str, DensityValue]) -> DensityValue:
-    """The assembled density: the terms added in ``TERM_NAMES`` order, so
-    every caller gets the same float sum."""
-    total = terms[TERM_NAMES[0]]
-    for name in TERM_NAMES[1:]:
+def sum_terms(terms: Dict[str, DensityValue], names: Sequence[str] = TERM_NAMES) -> DensityValue:
+    """The terms ``names`` added in that order; by default the assembled
+    density, added in ``TERM_NAMES`` order so every caller gets the same
+    float sum."""
+    total = terms[names[0]]
+    for name in names[1:]:
         total = total + terms[name]
     return total
 

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -482,3 +483,33 @@ def test_sweep_trial_retraces_the_u_variants(monkeypatch):
     out = scenario_invariant_suite(random_scenario(2, "exact", random.Random(3)), random.Random(3))
     assert out.passed and len(out.lines) == 8
     assert len(calls) == 4
+
+
+def _retraced_sweep_failures(monkeypatch, prefactor_of):
+    """The failed lines of an exact sweep trial whose retrace traces the
+    term symbols under ``prefactor_of(derived scenario)``."""
+    s = random_scenario(2, "exact", random.Random(3))
+    original = checks.torsion_prefactor_element
+    monkeypatch.setattr(checks, "torsion_prefactor_element",
+                        lambda scenario: original(prefactor_of(s, scenario)))
+    out = scenario_invariant_suite(s, random.Random(3))
+    return [line for line in out.lines if line.startswith("FAIL")]
+
+
+def test_sweep_linearity_in_u_fails_on_a_wrong_retrace(monkeypatch):
+    """The assembled density is 0 in exact mode, so only the per-term rows
+    can see a retrace that ignores the doubled u."""
+    failed = _retraced_sweep_failures(monkeypatch, lambda s, derived: s)
+    assert len(failed) == 1 and "linear in u" in failed[0]
+
+
+def test_sweep_u_w_exchange_fails_on_a_wrong_retrace(monkeypatch):
+    """A retrace that exchanges u and v where u and w were meant keeps the
+    assembled density at 0; the exchange-invariant terms catch it."""
+    def prefactor_of(s, derived):
+        if derived.u == s.w and derived.w == s.u:
+            return replace(s, u=s.v, v=s.u)
+        return derived
+
+    failed = _retraced_sweep_failures(monkeypatch, prefactor_of)
+    assert len(failed) == 1 and "u<->w" in failed[0]

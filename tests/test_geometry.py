@@ -166,15 +166,17 @@ def test_laplacian_mismatch_reports_its_residual(monkeypatch):
         laplacian_inverse_check(curv)
     monkeypatch.setattr(geometry, "laplacian_sigma1_closed_form", sigma1_closed)
 
-    closed = geometry.laplacian_inverse_closed_forms(curv)
+    closed = geometry.laplacian_inverse_closed_forms(
+        build_metric_jets(curv), laplacian_sigma1_closed_form(curv)
+    )
     # half of |xi|^{-2}
-    monkeypatch.setattr(geometry, "laplacian_inverse_closed_forms", lambda c: (
+    monkeypatch.setattr(geometry, "laplacian_inverse_closed_forms", lambda jets, sigma1: (
         closed[0].scale(EXACT.of(Fraction(1, 2))), closed[1]
     ))
     with pytest.raises(VerificationError, match=r"sigma_-2 .*\(residual 0\.5\)$"):
         laplacian_inverse_check(curv)
     # sigma_{-3} closed form + 3 xi_1 |xi|^{-4}
-    monkeypatch.setattr(geometry, "laplacian_inverse_closed_forms", lambda c: (
+    monkeypatch.setattr(geometry, "laplacian_inverse_closed_forms", lambda jets, sigma1: (
         closed[0], closed[1] + Symbol(4, 2, EXACT, {((1, 0, 0, 0), -2): Jet.constant(4, 2, extra)})
     ))
     with pytest.raises(VerificationError, match=r"sigma_-3 .*\(residual 3\)$"):
@@ -288,22 +290,23 @@ def test_square_composition_matches_closed_form(m):
         )
 
 
-def test_square_composition_full_first_order_with_quadratic_jets():
-    """With quadratic jets (exact for a linear field) the composed square
-    matches the closed form through first jet order as well."""
-    rng = random.Random(17)
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_base_point_symbols_carry_no_jets(mode):
+    """sigma_0(T) and the three pieces of sigma_1(T^2) are read only at the
+    base point and hold only the zero x-monomial; sigma_1(T), whose
+    x-derivative H3 and the oracle take, keeps its linear jets."""
+    rng = random.Random(41)
     for m in (2, 3):
-        s = random_scenario(m, "exact", rng)
-        dirac = rescaled_dirac_symbols(s, degree=2)
-        closed = rescaled_dirac_square_symbols(s, degree=2)
-        composed = symbol_compose(dirac, dirac, 1)
-        assert symbols_equal(
-            composed.take_degree(2).truncate_jets(2), closed.take_degree(2)
-        )
-        assert symbols_equal(
-            composed.take_degree(1).truncate_jets(1),
-            closed.take_degree(1).truncate_jets(1),
-        )
+        s = random_scenario(m, mode, rng)
+        zero = (0,) * s.n
+        dirac = rescaled_dirac_symbols(s)
+        pieces = rescaled_dirac_square_sigma1_pieces(s)
+        for sym in [dirac.take_degree(0), *pieces.values()]:
+            assert sym.terms
+            assert all(set(jet.terms) == {zero} for jet in sym.terms.values())
+        linear = [mono for jet in dirac.take_degree(1).terms.values()
+                  for mono in jet.terms if sum(mono) == 1]
+        assert linear
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -324,21 +327,6 @@ def test_left_inverse_property():
         li = symbol_compose(q2 + q3, square, -1)
         assert symbols_equal(li.take_degree(0), norm_squared_symbol(s.n, 1, s.field, s.n, 0))
         assert li.take_degree(-1).evaluate_jets_at_origin().is_zero()
-
-
-def test_left_inverse_property_quadratic_jets():
-    """With quadratic jets the degree -1 residual vanishes through first
-    jet order, not just at the base point."""
-    rng = random.Random(29)
-    s = random_scenario(2, "exact", rng)
-    pieces = rescaled_dirac_square_sigma1_pieces(s, degree=2)
-    square = rescaled_dirac_square_symbols(s, pieces, degree=2)
-    q2, q3 = rescaled_dirac_inverse_symbols(s, square=square, pieces=pieces, degree=2)
-    li = symbol_compose(q2 + q3, square, -1)
-    assert symbols_equal(
-        li.take_degree(0).truncate_jets(2), norm_squared_symbol(s.n, 2, s.field, s.n, 0)
-    )
-    assert li.take_degree(-1).truncate_jets(1).is_zero()
 
 
 def test_jacobian_consistency():

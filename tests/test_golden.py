@@ -1,7 +1,7 @@
 """Byte-for-byte golden outputs of the command line: the exact reports of
-the README scenario and of a generic m=3 scenario, the float report of a
-generic m=2 scenario, an exact and two float sweeps, and the case lines of
-two identity checks.
+the README scenario and of generic m=3 and m=4 scenarios, the float
+reports of generic m=2 and m=3 scenarios, an exact and two float sweeps,
+and the case lines of two identity checks.
 
 The files under ``tests/data/`` were written by the command line of
 earlier versions (the float sweep before the sweep shared the report's
@@ -30,7 +30,7 @@ def test_golden_run_report_of_readme_scenario(capsys):
     assert out == (DATA / "readme_scenario_report.json").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", ["exact_m3", "float_m2"])
+@pytest.mark.parametrize("name", ["exact_m3", "float_m2", "exact_m4", "float_m3"])
 def test_golden_run_report_of_generic_scenario(capsys, name):
     scenario = DATA / f"{name}_scenario.json"
     assert main(["run", "--scenario", str(scenario)]) == 0

@@ -16,9 +16,8 @@ from torsionres.jets import Jet
 from torsionres.scalars import EXACT
 from torsionres.symbols import (
     Symbol,
-    inverse_power_symbols,
     norm_squared_symbol,
-    power_by_composition,
+    power_expansion,
     symbol_compose,
     symbol_invert_order2,
     symbol_is_zero,
@@ -111,6 +110,35 @@ def test_invert_rejects_bad_leading():
     }
     with pytest.raises(ValueError):
         symbol_invert_order2(sym(terms), N)
+
+
+def inverse_power_symbols(q2: Symbol, q3: Symbol, m: int):
+    """Degrees -2m and -2m-1 of the m-th power of a (q_{-2}+q_{-3}) inverse.
+
+    s_{-2m}   = q_{-2}^m
+    s_{-2m-1} = m q_{-2}^{m-1} q_{-3} - i (power-cross sum of ``power_expansion``)
+    """
+    if m < 2:
+        raise ValueError(f"negative-power expansion needs m >= 2, got {m}")
+    field = q2.field
+    dq2 = [q2.partial_x(mu) for mu in range(1, q2.nvars + 1)]
+    powers, cross = power_expansion(q2, dq2, m)
+    s2m1 = symbol_product(powers[m - 1], q3).scale(field.of(m))
+    return powers[m], s2m1 - cross.scale(field.i)
+
+
+def power_by_composition(q2: Symbol, q3: Symbol, m: int):
+    """Oracle for ``inverse_power_symbols``: literally compose q with itself.
+
+    The m-th power needs m-1 pairwise compositions; only degrees down to
+    -2j-1 are kept after j factors, since anything deeper cannot climb
+    back up to the target degrees.
+    """
+    q = q2 + q3
+    acc = q
+    for factors in range(2, m + 1):
+        acc = symbol_compose(acc, q, -2 * factors - 1)
+    return acc.take_degree(-2 * m), acc.take_degree(-2 * m - 1)
 
 
 def test_inverse_power_flat():
