@@ -382,8 +382,8 @@ def scenario_invariant_suite(s: Scenario, rng: random.Random, tol: float = 0.0) 
 
 def run_sweep(m: int, trials: int, seed: int, mode: str, tol: float = 1e-9) -> CheckOutcome:
     """Random-scenario sweep over the full invariant suite."""
-    if m not in (2, 3):
-        raise ValueError(f"sweep supports m in {{2,3}}, got {m}")
+    if m not in (2, 3, 4):
+        raise ValueError(f"sweep supports m in {{2,3,4}}, got {m}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = random.Random(seed)

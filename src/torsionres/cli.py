@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="random-scenario sweep over all pipeline invariants")
-    p_sweep.add_argument("--m", type=int, required=True, choices=(2, 3))
+    p_sweep.add_argument("--m", type=int, required=True, choices=(2, 3, 4))
     p_sweep.add_argument("--trials", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--mode", required=True, choices=("exact", "float"))

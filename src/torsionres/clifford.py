@@ -9,18 +9,23 @@ generators in strictly increasing index order, encoded as bitmasks (bit k
 set means generator e_{k+1} participates).  Elements are sparse maps from
 blades to scalars; products are computed by sign-tracked transpositions.
 
-Exact products of Clifford elements, of jets and of symbols share one
-integer kernel, ``exact_bilinear``.  ``exact_rows`` flattens each operand
-into keyed rows of Gaussian-integer numerators over one common
-denominator: a Clifford element is a single row, a jet has one row per
-x-monomial (``jets.Jet.__mul__``), a symbol one per (xi key, x-monomial)
-(``symbols.symbol_product``).  Row pairs are matched by the caller's key
-rule, the numerators landing on each (output key, blade) are summed as
-plain ints under the cached blade sign, and each nonzero sum is brought to
-normal form once: one gcd per output coefficient rather than one per
-coefficient pair and per merge of products on the same monomial.  Float
-operands go through the scalar operations in per-pair loops, and so do
-mixed exact/float operands, which raise ``TypeError`` there.
+Exact products of Clifford elements, of jets and of symbols, and the
+alpha-sum of an exact symbol composition, share one integer kernel:
+``exact_accumulate`` and ``exact_reduce`` (``exact_bilinear`` is one of
+each).  ``exact_rows`` flattens each operand into keyed rows of
+Gaussian-integer numerators over one common denominator: a Clifford
+element is a single row, a jet has one row per x-monomial
+(``jets.Jet.__mul__``), a symbol one per (xi key, x-monomial)
+(``symbols.symbol_product`` and ``symbols.symbol_compose``).  Row pairs
+are matched by the caller's key rule, the numerators landing on each
+(output key, blade) are summed as plain ints under the cached blade sign,
+and each nonzero sum is brought to normal form once: one gcd per output
+coefficient rather than one per coefficient pair and per merge of
+products on the same monomial.  A composition feeds the row pairs of all
+its alpha terms into one accumulator before that reduction.  Float
+operands go through the scalar operations in per-pair loops, and float
+compositions in one symbol product per alpha; mixed exact/float operands
+take the float loops, which raise ``TypeError``.
 
 The fiberwise trace is the spinor-space trace: on a 2m-dimensional frame
 the identity traces to 2^m and every non-empty blade traces to zero.
@@ -240,19 +245,17 @@ def exact_rows(items):
     ], d
 
 
-def exact_bilinear(dim: int, left, right, combine) -> Dict[object, CliffordElement]:
-    """The products of the rows of ``left`` with the rows of ``right``, both
-    given by ``exact_rows``, summed per output key.
+def exact_accumulate(acc: Dict[object, Dict[int, list]], xs, ys, combine) -> None:
+    """Add the products of the rows ``xs`` with the rows ``ys`` (the row
+    lists of two ``exact_rows`` results) to ``acc``.
 
     ``combine(key_a, key_b)`` names the output key of a row pair, or returns
     ``None`` to skip the pair.  Row elements multiply left times right.  The
     Gaussian-integer numerators landing on one (output key, blade) are
-    summed as plain ints under the blade sign; each nonzero sum is brought
-    to normal form once, over the product of the two denominators.  Keys
-    whose every blade cancels are left out.
+    summed into ``acc[key][blade] = [re, im]`` as plain ints under the blade
+    sign.  Several row pairs, or several calls, may feed one accumulator as
+    long as all left rows share one denominator and all right rows another.
     """
-    (xs, da), (ys, db) = left, right
-    acc: Dict[object, Dict[int, list]] = {}
     sign = blade_product_sign
     for ka, ra in xs:
         for kb, rb in ys:
@@ -276,13 +279,28 @@ def exact_bilinear(dim: int, left, right, combine) -> Dict[object, CliffordEleme
                     else:
                         s[0] += r
                         s[1] += i
-    d = da * db
+
+
+def exact_reduce(dim: int, acc: Dict[object, Dict[int, list]], d: int) -> Dict[object, CliffordElement]:
+    """The elements of an ``exact_accumulate`` accumulator over the
+    denominator ``d``: each nonzero sum is brought to normal form once, and
+    keys whose every blade cancels are left out."""
     result: Dict[object, CliffordElement] = {}
     for key, out in acc.items():
         terms = {m: _reduced(r, i, d) for m, (r, i) in out.items() if r or i}
         if terms:
             result[key] = CliffordElement._trusted(dim, terms)
     return result
+
+
+def exact_bilinear(dim: int, left, right, combine) -> Dict[object, CliffordElement]:
+    """The products of the rows of ``left`` with the rows of ``right``, both
+    given by ``exact_rows``, summed per output key (``exact_accumulate``)
+    and reduced over the product of the two denominators."""
+    (xs, da), (ys, db) = left, right
+    acc: Dict[object, Dict[int, list]] = {}
+    exact_accumulate(acc, xs, ys, combine)
+    return exact_reduce(dim, acc, da * db)
 
 
 def _single_row(ka, kb):

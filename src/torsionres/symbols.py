@@ -19,7 +19,10 @@ An exact ``symbol_product`` does not multiply jets pair by pair: both
 symbols are flattened into one row per (xi key, x-monomial) and go through
 the integer kernel of ``clifford`` once, which skips row pairs past the jet
 degree cap or below ``lowest_degree`` and reduces each output coefficient
-once.  Float symbols keep the per-pair loop through ``Jet.__mul__``.
+once.  An exact ``symbol_compose`` flattens its operands once, takes the
+xi- and x-derivatives of every alpha on the rows, and sums all alpha terms
+in one kernel accumulator.  Float symbols keep the per-pair loop through
+``Jet.__mul__``, and float compositions one symbol product per alpha.
 
 Equality of symbols is decided exactly: the representation by monomials
 and norm powers is not unique (sum_i xi_i^2 = |xi|^2), so a difference is
@@ -33,7 +36,7 @@ import itertools
 import math
 from typing import Dict, Iterable, List, Tuple
 
-from .clifford import CliffordElement, exact_bilinear, exact_rows
+from .clifford import CliffordElement, exact_accumulate, exact_bilinear, exact_reduce, exact_rows
 from .jets import Jet, _mono_mul, coefficient_dim, invert_scalar_jet
 
 XiMono = Tuple[int, ...]
@@ -206,6 +209,78 @@ def _exact_symbol_rows(s: Symbol):
     ])
 
 
+def _row_times(row, c: int, quarters: int = 0):
+    """The numerators of ``row`` times the integer ``c`` and ``(-i)^quarters``;
+    ``(a + b i)(-i) = b - a i``."""
+    quarters %= 4
+    if quarters == 0:
+        return row if c == 1 else [(m, c * a, c * b) for m, a, b in row]
+    if quarters == 1:
+        return [(m, c * b, -c * a) for m, a, b in row]
+    if quarters == 2:
+        return [(m, -c * a, -c * b) for m, a, b in row]
+    return [(m, -c * b, c * a) for m, a, b in row]
+
+
+def _bumped(mono: Tuple[int, ...], j: int, by: int) -> Tuple[int, ...]:
+    return mono[:j] + (mono[j] + by,) + mono[j + 1:]
+
+
+def _xi_derivative_rows(rows, j: int):
+    """``Symbol.partial_xi(j + 1)`` on symbol rows: the monomial rule and
+    d|xi|^{2k} = 2k |xi|^{2k-2} xi_j, each scaling the numerators.  Rows
+    that land on one key stay separate; the kernel sums them."""
+    out = []
+    for (mono, k, deg, xmono, xdeg), row in rows:
+        e = mono[j]
+        if e:
+            out.append(((_bumped(mono, j, -1), k, deg - 1, xmono, xdeg), _row_times(row, e)))
+        if k:
+            out.append(((_bumped(mono, j, 1), k - 1, deg - 1, xmono, xdeg), _row_times(row, 2 * k)))
+    return out
+
+
+def _x_derivative_rows(rows, j: int):
+    """``Symbol.partial_x(j + 1)`` on symbol rows: x-monomials without x_j
+    drop out, the others lose one power and scale by its exponent."""
+    out = []
+    for (mono, k, deg, xmono, xdeg), row in rows:
+        e = xmono[j]
+        if e:
+            out.append(((mono, k, deg, _bumped(xmono, j, -1), xdeg - 1), _row_times(row, e)))
+    return out
+
+
+def _row_pair_rule(cap: int, lowest_degree: int | None):
+    """The ``combine`` rule of a product of symbol rows: the output key is
+    ``((xi exponents, norm power), x-monomial)``; pairs whose xi-degree falls
+    below ``lowest_degree`` or whose x-degree passes ``cap`` are skipped."""
+    lowest = -math.inf if lowest_degree is None else lowest_degree
+
+    def combine(ka, kb):
+        ma, pa, da, xa, ea = ka
+        mb, pb, db, xb, eb = kb
+        if da + db < lowest or ea + eb > cap:
+            return None
+        return (_mono_mul(ma, mb), pa + pb), _mono_mul(xa, xb)
+
+    return combine
+
+
+def _symbol_of_elements(like: Symbol, elems) -> Symbol:
+    """A symbol shaped like ``like`` from kernel output keyed by
+    ``(xi key, x-monomial)``."""
+    jets: Dict[TermKey, Dict] = {}
+    for (key, xmono), elem in elems.items():
+        jets.setdefault(key, {})[xmono] = elem
+    n, cap = like.nvars, like.max_degree
+    return Symbol(n, cap, like.field, {key: Jet._trusted(n, cap, terms) for key, terms in jets.items()})
+
+
+def _first_dim(a: Symbol, b: Symbol) -> int:
+    return coefficient_dim(next(iter(a.terms.values())), next(iter(b.terms.values())))
+
+
 def symbol_product(a: Symbol, b: Symbol, lowest_degree: int | None = None) -> Symbol:
     """Pointwise product (no derivatives); jet coefficients keep their order."""
     a._check(b)
@@ -214,24 +289,8 @@ def symbol_product(a: Symbol, b: Symbol, lowest_degree: int | None = None) -> Sy
     left = _exact_symbol_rows(a)
     right = _exact_symbol_rows(b) if left is not None else None
     if right is not None:
-        cap = a.max_degree
-        dim = coefficient_dim(next(iter(a.terms.values())), next(iter(b.terms.values())))
-        lowest = -math.inf if lowest_degree is None else lowest_degree
-
-        def combine(ka, kb):
-            ma, pa, da, xa, ea = ka
-            mb, pb, db, xb, eb = kb
-            if da + db < lowest or ea + eb > cap:
-                return None
-            return (_mono_mul(ma, mb), pa + pb), _mono_mul(xa, xb)
-
-        jets: Dict[TermKey, Dict] = {}
-        for (key, xmono), elem in exact_bilinear(dim, left, right, combine).items():
-            jets.setdefault(key, {})[xmono] = elem
-        return Symbol(
-            a.nvars, a.max_degree, a.field,
-            {key: Jet._trusted(a.nvars, cap, terms) for key, terms in jets.items()},
-        )
+        combine = _row_pair_rule(a.max_degree, lowest_degree)
+        return _symbol_of_elements(a, exact_bilinear(_first_dim(a, b), left, right, combine))
     out: Dict[TermKey, Jet] = {}
     for (ma, ka), ja in a.terms.items():
         da = sum(ma) + 2 * ka
@@ -276,6 +335,12 @@ def symbol_compose(
     point: p and each d_x^alpha q are evaluated there before their product,
     which is exact because the constant term of a jet product is the
     product of the constant terms.
+
+    Exact operands are flattened into integer rows once; the derivatives
+    act on the rows, (-i)^{|alpha|} L/alpha! (L the lcm of the alpha! that
+    run) is folded into the left numerators, and the products of every
+    alpha are summed in one kernel accumulator, reduced once over
+    d_p d_q L.  Float operands keep the per-alpha loop of symbol products.
     """
     p._check(q)
     if at_origin:
@@ -289,34 +354,71 @@ def symbol_compose(
         (sum(mono) for jet in q.terms.values() for mono in jet.terms), default=0
     )
     cap = min(p.max_degree, q_content, hi_p + hi_q - lowest_degree)
-    total = Symbol.zero(p.nvars, p.max_degree, p.field)
-    minus_i = p.field.of(0) - p.field.i
+    alphas = []
     for order in range(cap + 1):
         if hi_p - order + hi_q < lowest_degree:
             break
-        for mus, fact in _alpha_iter(p.nvars, order):
-            dq = q
-            for mu in mus:
-                dq = dq.partial_x(mu)
-            if at_origin:
-                dq = dq.evaluate_jets_at_origin()
-            if not dq.terms:
-                continue
-            dp = p
-            for mu in mus:
-                dp = dp.partial_xi(mu)
-            if not dp.terms:
-                continue
-            piece = symbol_product(dp, dq, lowest_degree)
-            if not piece.terms:
-                continue
-            coeff = p.field.one
-            for _ in range(order):
-                coeff = coeff * minus_i
-            if fact != 1:
-                coeff = coeff / p.field.of(fact)
-            total = total + piece.scale(coeff)
+        alphas.extend((order, mus, fact) for mus, fact in _alpha_iter(p.nvars, order))
+    left = _exact_symbol_rows(p)
+    right = _exact_symbol_rows(q) if left is not None else None
+    if right is not None:
+        total = _exact_alpha_sum(p, q, left, right, alphas, lowest_degree, at_origin)
+    else:
+        total = _alpha_sum(p, q, alphas, lowest_degree, at_origin)
     return total.restrict_degrees(lowest_degree, 10**6)
+
+
+def _exact_alpha_sum(p, q, left, right, alphas, lowest_degree, at_origin) -> Symbol:
+    """The alpha-sum of ``symbol_compose`` in one kernel accumulator."""
+    (p_rows, d_p), (q_rows, d_q) = left, right
+    scale = math.lcm(*(fact for _, _, fact in alphas))
+    combine = _row_pair_rule(p.max_degree, lowest_degree)
+    acc: Dict = {}
+    for order, mus, fact in alphas:
+        dq = q_rows
+        for mu in mus:
+            dq = _x_derivative_rows(dq, mu - 1)
+        if at_origin:
+            dq = [row for row in dq if row[0][4] == 0]
+        if not dq:
+            continue
+        dp = p_rows
+        for mu in mus:
+            dp = _xi_derivative_rows(dp, mu - 1)
+        if not dp:
+            continue
+        c = scale // fact
+        exact_accumulate(acc, [(key, _row_times(row, c, order)) for key, row in dp], dq, combine)
+    return _symbol_of_elements(p, exact_reduce(_first_dim(p, q), acc, d_p * d_q * scale))
+
+
+def _alpha_sum(p, q, alphas, lowest_degree, at_origin) -> Symbol:
+    """The alpha-sum of ``symbol_compose``, one symbol product per alpha."""
+    total = Symbol.zero(p.nvars, p.max_degree, p.field)
+    minus_i = p.field.of(0) - p.field.i
+    for order, mus, fact in alphas:
+        dq = q
+        for mu in mus:
+            dq = dq.partial_x(mu)
+        if at_origin:
+            dq = dq.evaluate_jets_at_origin()
+        if not dq.terms:
+            continue
+        dp = p
+        for mu in mus:
+            dp = dp.partial_xi(mu)
+        if not dp.terms:
+            continue
+        piece = symbol_product(dp, dq, lowest_degree)
+        if not piece.terms:
+            continue
+        coeff = p.field.one
+        for _ in range(order):
+            coeff = coeff * minus_i
+        if fact != 1:
+            coeff = coeff / p.field.of(fact)
+        total = total + piece.scale(coeff)
+    return total
 
 
 def norm_squared_symbol(nvars: int, max_degree: int, field, dim: int, power: int = 1) -> Symbol:

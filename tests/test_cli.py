@@ -204,6 +204,24 @@ def test_cli_sweep_float(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_cli_sweep_m4(capsys, monkeypatch, mode):
+    """An m=4 sweep trial runs and passes all eight invariant records."""
+    trials = []
+    suite = checks.scenario_invariant_suite
+
+    def kept(*args):
+        trials.append(suite(*args))
+        return trials[-1]
+
+    monkeypatch.setattr(checks, "scenario_invariant_suite", kept)
+    assert main(["sweep", "--m", "4", "--trials", "1", "--seed", "3", "--mode", mode]) == 0
+    assert capsys.readouterr().out.startswith("PASS 1 trials, 0 failures")
+    (trial,) = trials
+    assert len(trial.lines) == 8
+    assert all(line.startswith("PASS ") for line in trial.lines)
+
+
 def test_cli_sweep_usage_error(capsys):
     assert main(["sweep", "--m", "2", "--trials", "0", "--seed", "1", "--mode", "exact"]) == 2
     capsys.readouterr()

@@ -1,12 +1,17 @@
-"""Exact jet and symbol products against per-coefficient references.
+"""Exact jet and symbol products and compositions against references.
 
 ``Jet.__mul__`` and ``symbol_product`` sum Gaussian-integer numerators
 per (output key, blade) in the kernel shared with ``clifford_product``.
 The references below take one ``GaussianRational`` product and one sum
 per coefficient pair and drop zeros only at the end; float products are
 compared bit for bit with the per-pair loops that the exact path replaced.
+An exact ``symbol_compose`` sums every alpha term in one kernel
+accumulator; its reference is the per-alpha loop of symbol operations,
+taken over ordered derivative sequences with weight 1/|alpha|!.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +22,9 @@ from hypothesis import strategies as st
 from torsionres.clifford import CliffordElement, blade_product_sign
 from torsionres.jets import Jet
 from torsionres.scalars import EXACT, FLOAT
-from torsionres.symbols import Symbol, symbol_product
+from torsionres import symbols
+from torsionres.geometry import random_scenario, rescaled_dirac_symbols
+from torsionres.symbols import Symbol, symbol_compose, symbol_invert_order2, symbol_product
 
 
 def _mono_add(a, b):
@@ -168,6 +175,135 @@ def test_exact_symbol_product_matches_per_coefficient_reference(operands):
         key: _jet_of(a.nvars, a.max_degree, dim, terms) for key, terms in want.items()
     })
     assert hash(frozenset(got.terms.items())) == hash(frozenset(expect.terms.items()))
+
+
+def _reference_compose(p, q, lowest_degree, at_origin):
+    """sum over ordered sequences (mu_1..mu_r), r <= the jet cap, of
+    (-i)^r / r! d_xi_mu1..d_xi_mur p * d_x_mu1..d_x_mur q, one symbol
+    operation at a time; a multi-index alpha appears r!/alpha! times."""
+    if at_origin:
+        p = p.evaluate_jets_at_origin()
+    field = p.field
+    total = Symbol.zero(p.nvars, p.max_degree, field)
+    minus_i_power = field.one
+    for order in range(p.max_degree + 1):
+        weight = minus_i_power / field.of(math.factorial(order))
+        minus_i_power = minus_i_power * (field.of(0) - field.i)
+        for mus in itertools.product(range(1, p.nvars + 1), repeat=order):
+            dp, dq = p, q
+            for mu in mus:
+                dp, dq = dp.partial_xi(mu), dq.partial_x(mu)
+            if at_origin:
+                dq = dq.evaluate_jets_at_origin()
+            total = total + symbol_product(dp, dq, lowest_degree).scale(weight)
+    return total
+
+
+def _triples(s):
+    """Every stored coefficient of ``s`` as its normal-form triple."""
+    return {
+        (key, xmono, blade): (c._a, c._b, c._d)
+        for key, jet in s.terms.items()
+        for xmono, elem in jet.terms.items()
+        for blade, c in elem.terms.items()
+    }
+
+
+@st.composite
+def _compose_operands(draw):
+    nvars = draw(st.sampled_from((2, 3, 4)))
+    cap = draw(st.sampled_from((1, 2)))
+    dim = draw(st.sampled_from((2, 4)))
+    keys = st.tuples(
+        st.lists(st.integers(min_value=0, max_value=2), min_size=nvars, max_size=nvars).map(tuple),
+        st.integers(min_value=-2, max_value=1),
+    )
+    # nonempty by construction: monomials within the cap, nonzero coefficients
+    mono = st.lists(st.integers(min_value=0, max_value=nvars - 1), max_size=cap).map(
+        lambda idx: tuple(idx.count(i) for i in range(nvars))
+    )
+    coeff = st.builds(EXACT.complex_of, _part, _part).filter(bool)
+    elem = st.dictionaries(st.integers(min_value=0, max_value=2**dim - 1), coeff, min_size=1, max_size=3)
+    jet = st.dictionaries(mono, elem.map(lambda t: CliffordElement(dim, t)), min_size=1, max_size=3)
+    nonzero = st.dictionaries(keys, jet.map(lambda t: Jet(nvars, cap, t)), min_size=1, max_size=3).map(
+        lambda terms: Symbol(nvars, cap, EXACT, terms)
+    )
+    p, q = draw(nonzero), draw(nonzero)
+    lowest = draw(st.integers(min_value=-6, max_value=4))
+    return p, q, lowest, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_compose_operands())
+def test_exact_compose_matches_the_per_alpha_reference(operands):
+    p, q, lowest, at_origin = operands
+    got = symbol_compose(p, q, lowest, at_origin=at_origin)
+    assert _triples(got) == _triples(_reference_compose(p, q, lowest, at_origin))
+    assert all(bool(v) for v in _stored_values(got))
+    assert all(jet.max_degree == p.max_degree for jet in got.terms.values())
+    assert min(got.degrees(), default=lowest) >= lowest
+
+
+def _scalar_symbol(nvars, cap, parts):
+    """A symbol of scalar (empty-blade) coefficients from
+    ``{(xi key, x-monomial): value}``."""
+    jets = {}
+    for (key, xmono), value in parts.items():
+        elem = CliffordElement(2, {0: EXACT.complex_of(Fraction(value), Fraction(0))})
+        jets.setdefault(key, {})[xmono] = elem
+    return Symbol(nvars, cap, EXACT, {key: Jet(nvars, cap, t) for key, t in jets.items()})
+
+
+@pytest.mark.parametrize("at_origin", [False, True])
+def test_compose_weights_second_order_terms_by_alpha_factorial(at_origin):
+    """p = xi1^2 + xi1 xi2, q = x1^2 + x1 x2: the second-order terms give
+    (-i)^2 (2 * 2 / 2! + 1 * 1 / 1!) = -3, from alpha = (2, 0) with
+    alpha! = 2 and alpha = (1, 1) with alpha! = 1."""
+    zero = (0, 0)
+    p = _scalar_symbol(2, 2, {(((2, 0), 0), zero): 1, (((1, 1), 0), zero): 1})
+    q = _scalar_symbol(2, 2, {(((0, 0), 0), (2, 0)): 1, (((0, 0), 0), (1, 1)): 1})
+    # order 0: p q; order 1: -i ((2 xi1 + xi2)(2 x1 + x2) + xi1 x1)
+    want = {
+        (((2, 0), 0), (2, 0)): 1, (((2, 0), 0), (1, 1)): 1,
+        (((1, 1), 0), (2, 0)): 1, (((1, 1), 0), (1, 1)): 1,
+        (((1, 0), 0), (1, 0)): -5j, (((1, 0), 0), (0, 1)): -2j,
+        (((0, 1), 0), (1, 0)): -2j, (((0, 1), 0), (0, 1)): -1j,
+        (((0, 0), 0), zero): -3,
+    }
+    if at_origin:
+        want = {k: v for k, v in want.items() if k[1] == zero}
+    got = symbol_compose(p, q, 0, at_origin=at_origin)
+    assert {
+        (key, xmono): complex(elem.terms[0])
+        for key, jet in got.terms.items()
+        for xmono, elem in jet.terms.items()
+    } == want
+    assert _triples(got) == _triples(_reference_compose(p, q, 0, at_origin))
+    assert _triples(symbol_compose(p, q, 1, at_origin=at_origin)) == _triples(
+        _reference_compose(p, q, 1, at_origin)
+    )
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_exact_oracle_compositions_skip_the_symbol_operations(m, monkeypatch):
+    """The compositions of the oracle at m (the square, a base-point power,
+    the last factor) run in the kernel alone: no symbol product, xi
+    derivative or scaling, and the same coefficients as the reference."""
+    s = random_scenario(m, "exact", random.Random(40 + m))
+    dirac = rescaled_dirac_symbols(s)
+    q2, q3 = symbol_invert_order2(symbol_compose(dirac, dirac, 1), s.n)
+    q = q2 + q3
+    cases = [(dirac, dirac, 1, False), (q, q, -5, True), (q, dirac, -1 - 2 * m, True)]
+    want = [_triples(_reference_compose(*case)) for case in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("symbol operation called in an exact composition")
+
+    monkeypatch.setattr(symbols, "symbol_product", forbidden)
+    monkeypatch.setattr(Symbol, "partial_xi", forbidden)
+    monkeypatch.setattr(Symbol, "scale", forbidden)
+    for (p, r, lowest, at_origin), expected in zip(cases, want):
+        assert _triples(symbol_compose(p, r, lowest, at_origin=at_origin)) == expected
 
 
 # -- hand-made cases -------------------------------------------------------------
