@@ -18,6 +18,11 @@ products.  Two flavours live here:
   dropped sphere-integral factor); the report carries both sides so the
   discrepancy is documented rather than silently absorbed.
 
+Every form reads one ``ScenarioInvariants``: a report builds it once with
+``scenario_invariants`` and passes it to all four families (and the
+derived and printed term densities on to the forms built from them);
+called with the scenario alone, each family builds what it needs.
+
 All densities are rational multiples of the unit 2^m Vol(S^{2m-1}).
 """
 
@@ -150,7 +155,9 @@ def _w_power(inv: ScenarioInvariants, field, exponent: int):
     return acc
 
 
-def reference_term_densities(s: Scenario) -> Dict[str, DensityValue]:
+def reference_term_densities(
+    s: Scenario, inv: ScenarioInvariants | None = None
+) -> Dict[str, DensityValue]:
     """Per-term densities the trace identities force; the pipeline's target.
 
     With A = -(1/2)(g(u,v) w(|V|^2) - ...), B/C the gradient combinations,
@@ -168,7 +175,8 @@ def reference_term_densities(s: Scenario) -> Dict[str, DensityValue]:
     These sum to exactly zero: every invariant combination cancels.
     """
     fld = s.field
-    inv = scenario_invariants(s)
+    if inv is None:
+        inv = scenario_invariants(s)
     m = s.m
     wm1 = _w_power(inv, fld, -2 * m + 1)
     wm2 = _w_power(inv, fld, -2 * m + 2)
@@ -189,18 +197,27 @@ def reference_term_densities(s: Scenario) -> Dict[str, DensityValue]:
     return {k: DensityValue(v, m) for k, v in terms.items()}
 
 
-def paper_term_densities(s: Scenario) -> Dict[str, DensityValue]:
+def paper_term_densities(
+    s: Scenario,
+    inv: ScenarioInvariants | None = None,
+    reference: Dict[str, DensityValue] | None = None,
+) -> Dict[str, DensityValue]:
     """The per-term closed forms exactly as printed.
 
     They differ from the derived forms in three places: the h1 and k2
     brackets carry all-minus divergence terms (one alternating sign lost),
     and l3 carries coefficient -1/2 where the contraction yields -m.
+    ``reference`` is ``reference_term_densities(s)``, which supplies the
+    other five terms.
     """
     fld = s.field
-    inv = scenario_invariants(s)
+    if inv is None:
+        inv = scenario_invariants(s)
+    if reference is None:
+        reference = reference_term_densities(s, inv)
     m = s.m
     wm1 = _w_power(inv, fld, -2 * m + 1)
-    out = dict(reference_term_densities(s))
+    out = dict(reference)
     a, b, c = inv.a_sum, inv.b_sum, inv.c_sum
     d_all = inv.div * inv.div_all
     out["h1"] = DensityValue(
@@ -213,13 +230,19 @@ def paper_term_densities(s: Scenario) -> Dict[str, DensityValue]:
     return out
 
 
-def paper_group_densities(s: Scenario) -> Dict[str, DensityValue]:
+def paper_group_densities(
+    s: Scenario,
+    inv: ScenarioInvariants | None = None,
+    printed: Dict[str, DensityValue] | None = None,
+) -> Dict[str, DensityValue]:
     """The printed group values: the h1 bracket, the summed l-terms, and
-    the k-term sum (whose printed form keeps only two divergence terms)."""
+    the k-term sum (whose printed form keeps only two divergence terms).
+    ``printed`` is ``paper_term_densities(s)``."""
     fld = s.field
-    inv = scenario_invariants(s)
+    if inv is None:
+        inv = scenario_invariants(s)
     m = s.m
-    terms = paper_term_densities(s)
+    terms = paper_term_densities(s, inv) if printed is None else printed
     h2 = terms["l1"] + terms["l2"] + terms["l3"] + terms["l4"] + terms["l5"]
     wm1 = _w_power(inv, fld, -2 * m + 1)
     two = fld.of(2)
@@ -230,13 +253,14 @@ def paper_group_densities(s: Scenario) -> Dict[str, DensityValue]:
     return {"h1": terms["h1"], "h2": h2, "h3": h3}
 
 
-def theorem_density(s: Scenario) -> DensityValue:
+def theorem_density(s: Scenario, inv: ScenarioInvariants | None = None) -> DensityValue:
     """The final printed closed form:
 
         (2m-3)/2 |V|^{-4m+2} (g(u,v) w(|V|^2) - g(u,w) v(|V|^2) + g(v,w) u(|V|^2))
 
     in units of 2^m Vol(S^{2m-1})."""
     fld = s.field
-    inv = scenario_invariants(s)
+    if inv is None:
+        inv = scenario_invariants(s)
     coeff = fld.of(Fraction(2 * s.m - 3, 2))
     return DensityValue(coeff * _w_power(inv, fld, -2 * s.m + 1) * inv.t1, s.m)

@@ -33,6 +33,7 @@ from .reference import (
     paper_group_densities,
     paper_term_densities,
     reference_term_densities,
+    scenario_invariants,
     theorem_density,
 )
 from .scalars import GaussianRational
@@ -164,10 +165,11 @@ def build_report(
     cmp_tol = 0.0 if s.mode == "exact" else tolerance
     breakdown = assemble_density(s, cmp_tol)
     terms = breakdown.terms
-    reference = reference_term_densities(s)
-    printed = paper_term_densities(s)
-    groups = paper_group_densities(s)
-    theorem = theorem_density(s)
+    inv = scenario_invariants(s)
+    reference = reference_term_densities(s, inv)
+    printed = paper_term_densities(s, inv, reference)
+    groups = paper_group_densities(s, inv, printed)
+    theorem = theorem_density(s, inv)
 
     if perturb is not None:
         term, delta = perturb

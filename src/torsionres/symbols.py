@@ -139,14 +139,11 @@ class Symbol:
     def degrees(self) -> List[int]:
         return sorted({_xi_degree(k) for k in self.terms})
 
-    def restrict_degrees(self, lo: int, hi: int) -> "Symbol":
+    def take_degree(self, d: int) -> "Symbol":
         return Symbol(
             self.nvars, self.max_degree, self.field,
-            {k: j for k, j in self.terms.items() if lo <= _xi_degree(k) <= hi},
+            {k: j for k, j in self.terms.items() if _xi_degree(k) == d},
         )
-
-    def take_degree(self, d: int) -> "Symbol":
-        return self.restrict_degrees(d, d)
 
     def evaluate_jets_at_origin(self) -> "Symbol":
         return Symbol(
@@ -353,19 +350,19 @@ def symbol_compose(
     q_content = max(
         (sum(mono) for jet in q.terms.values() for mono in jet.terms), default=0
     )
+    # an alpha of order above hi_p + hi_q - lowest_degree only reaches
+    # degrees below lowest_degree
     cap = min(p.max_degree, q_content, hi_p + hi_q - lowest_degree)
-    alphas = []
-    for order in range(cap + 1):
-        if hi_p - order + hi_q < lowest_degree:
-            break
-        alphas.extend((order, mus, fact) for mus, fact in _alpha_iter(p.nvars, order))
+    alphas = [
+        (order, mus, fact)
+        for order in range(cap + 1)
+        for mus, fact in _alpha_iter(p.nvars, order)
+    ]
     left = _exact_symbol_rows(p)
     right = _exact_symbol_rows(q) if left is not None else None
     if right is not None:
-        total = _exact_alpha_sum(p, q, left, right, alphas, lowest_degree, at_origin)
-    else:
-        total = _alpha_sum(p, q, alphas, lowest_degree, at_origin)
-    return total.restrict_degrees(lowest_degree, 10**6)
+        return _exact_alpha_sum(p, q, left, right, alphas, lowest_degree, at_origin)
+    return _alpha_sum(p, q, alphas, lowest_degree, at_origin)
 
 
 def _exact_alpha_sum(p, q, left, right, alphas, lowest_degree, at_origin) -> Symbol:
@@ -538,6 +535,21 @@ def symbol_invert_order2(p: Symbol, dim: int) -> Tuple[Symbol, Symbol]:
     bracket = bracket - corr.scale(field.i)
     q3 = symbol_product(q2_low, bracket).scale(field.of(-1)).truncate_jets(valid)
     return q2, q3
+
+
+def symbol_square_to_invert(p: Symbol) -> Symbol:
+    """sigma_2 + sigma_1 of p o p, for a first-order symbol p with
+    first-order jets, only as deep in jets as ``symbol_invert_order2``
+    reads them.
+
+    sigma_2 keeps its jets, because q_{-2} and d_x q_{-2} come from it; its
+    alpha-sum is alpha = 0 alone.  sigma_1 enters q_{-3} only, which is
+    kept at the base point, so sigma_1 is composed there.
+    """
+    if p.max_degree != 1:
+        raise ValueError(f"expected first-order jets, got order {p.max_degree}")
+    sigma1 = symbol_compose(p, p, 1, at_origin=True).take_degree(1)
+    return symbol_compose(p, p, 2) + sigma1
 
 
 def power_expansion(q2: Symbol, dq2: List[Symbol], m: int) -> Tuple[List[Symbol], Symbol]:

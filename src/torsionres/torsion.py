@@ -29,14 +29,19 @@ fragment and the power-cross sum) and sigma_1(T) (in H3); so sigma_1(T)
 and sigma_2 of the square, from which q_{-2} is inverted, carry jets,
 while sigma_0(T), sigma_1 of the square and q_{-3} come at the base point.
 The route takes those derivatives and evaluates every symbol at the base
-point before forming any product.  The oracle composes the operator with
-itself with these jets, because the inverse of the square differentiates
-q_{-2}; the x-derivative of sigma_0(T) it would need only meets factors
-of degree below -2m.  Every later composition (the powers of
+point before forming any product.  In the oracle's square only sigma_2
+carries jets, because the inverse of the square differentiates q_{-2},
+which comes from sigma_2 alone; sigma_1 of the square enters only q_{-3},
+which is kept at the base point, so it is composed there.  The
+x-derivative of sigma_0(T) the oracle would need only meets factors of
+degree below -2m.  Every later composition (the powers of
 q_{-2} + q_{-3} and the last one with the operator) is taken at the base
 point: its left factor and each x-derivative of its right factor are
 evaluated there before their product, so the right factor's jets serve
 only its x-derivatives.
+
+``assemble_density`` builds sigma(T) and the prefactor once and hands
+them to both routes; neither route changes them.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from .clifford import (
     CliffordElement,
     FrameVector,
     clifford_of_vector,
+    clifford_product,
     clifford_product_seq,
     clifford_trace,
     clifford_trace_of_product,
@@ -72,6 +78,7 @@ from .symbols import (
     symbol_invert_order2,
     symbol_product,
     symbol_residual,
+    symbol_square_to_invert,
     symbols_equal,
 )
 
@@ -123,7 +130,9 @@ _SUB_PIECE_TO_TERM = {
 }
 
 
-def pipeline_symbols(s: Scenario, tol: float = 0.0) -> Dict[str, Symbol]:
+def pipeline_symbols(
+    s: Scenario, tol: float = 0.0, dirac: Symbol | None = None
+) -> Dict[str, Symbol]:
     """Build and cross-check the degree -2m symbols of h1, l1..l5, k1, k2,
     in ``TERM_NAMES`` order and at the base point.
 
@@ -139,9 +148,13 @@ def pipeline_symbols(s: Scenario, tol: float = 0.0) -> Dict[str, Symbol]:
     The four fragments of sigma_{-2m-1} other than the power-cross sum are
     asserted to add up to m q_{-2}^{m-1} q_{-3}; the H3 split is asserted to
     recombine into -i sum_j d_xi(sigma_{-2m}) d_x(sigma_1).
+
+    ``dirac`` is ``rescaled_dirac_symbols(s)`` when the caller has built
+    it already; it is only read.
     """
     n, m, fld = s.n, s.m, s.field
-    dirac = rescaled_dirac_symbols(s)
+    if dirac is None:
+        dirac = rescaled_dirac_symbols(s)
     frags = rescaled_dirac_square_sigma1_pieces(s)
     dsq = rescaled_dirac_square_symbols(s, frags)
     q2, q3 = rescaled_dirac_inverse_symbols(s, tol, square=dsq, pieces=frags)
@@ -186,8 +199,16 @@ def pipeline_symbols(s: Scenario, tol: float = 0.0) -> Dict[str, Symbol]:
         )
     sub_pieces["power_cross"] = cross.scale(minus_i)
 
-    # H3 split by which c(V) factor receives the x-derivative
+    # H3 split by which c(V) factor receives the x-derivative; c(e_j)c(V0)
+    # and c(V0)c(e_j) are formed once per j (a product with a single blade
+    # is exact, so the association does not change a float sum)
     cV0 = clifford_of_vector(s.V.value)
+    monos, ej_v, v_ej = [], [], []
+    for j in range(n):
+        ej = CliffordElement.basis(n, j + 1, fld.one)
+        monos.append(tuple(1 if i == j else 0 for i in range(n)))
+        ej_v.append(clifford_product(ej, cV0))
+        v_ej.append(clifford_product(cV0, ej))
     k1_sym = Symbol.zero(n, 1, fld)
     k2_sym = Symbol.zero(n, 1, fld)
     check = Symbol.zero(n, 1, fld)
@@ -197,13 +218,11 @@ def pipeline_symbols(s: Scenario, tol: float = 0.0) -> Dict[str, Symbol]:
         rt: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
         if not row.is_zero():
             for j in range(n):
-                ej = CliffordElement.basis(n, j + 1, fld.one)
-                mono = tuple(1 if i == j else 0 for i in range(n))
-                lt[(mono, 0)] = Jet.constant(
-                    n, 1, clifford_product_seq([row, ej, cV0]).scale(fld.i)
+                lt[(monos[j], 0)] = Jet.constant(
+                    n, 1, clifford_product(row, ej_v[j]).scale(fld.i)
                 )
-                rt[(mono, 0)] = Jet.constant(
-                    n, 1, clifford_product_seq([cV0, ej, row]).scale(fld.i)
+                rt[(monos[j], 0)] = Jet.constant(
+                    n, 1, clifford_product(v_ej[j], row).scale(fld.i)
                 )
         dxi_top = power_top.partial_xi(mu + 1)
         k1_sym = k1_sym + symbol_product(dxi_top, Symbol(n, 1, fld, lt))
@@ -245,12 +264,13 @@ def _iterated_composition_density(
 ) -> DensityValue:
     """Compose, invert, power up by composition, compose once more, trace.
 
-    Only the square keeps its jets, because the inverse differentiates
-    q_{-2}.  Every later composition is taken at the base point.
+    Only sigma_2 of the square keeps its jets, because the inverse
+    differentiates q_{-2}; sigma_1 of the square is composed at the base
+    point, where q_{-3} is kept.  Every later composition is taken at the
+    base point.
     """
     n = 2 * m
-    dsq = symbol_compose(dirac, dirac, 1)
-    q2, q3 = symbol_invert_order2(dsq, n)
+    q2, q3 = symbol_invert_order2(symbol_square_to_invert(dirac), n)
     q = q2 + q3
     acc = q
     for factors in range(2, m + 1):
@@ -259,12 +279,23 @@ def _iterated_composition_density(
     return trace_integrate(total, prefactor, m, dirac.field)
 
 
-def composition_oracle_density(s: Scenario) -> DensityValue:
+def composition_oracle_density(
+    s: Scenario,
+    dirac: Symbol | None = None,
+    prefactor: CliffordElement | None = None,
+) -> DensityValue:
     """Fully generic route for the rescaled operator: the iterated
-    composition of its symbol, traced against c(V)c(u)c(v)c(w)c(V)."""
-    return _iterated_composition_density(
-        rescaled_dirac_symbols(s), torsion_prefactor_element(s), s.m
-    )
+    composition of its symbol, traced against c(V)c(u)c(v)c(w)c(V).
+
+    ``dirac`` and ``prefactor`` are ``rescaled_dirac_symbols(s)`` and
+    ``torsion_prefactor_element(s)`` when the caller has built them
+    already; they are only read.
+    """
+    if dirac is None:
+        dirac = rescaled_dirac_symbols(s)
+    if prefactor is None:
+        prefactor = torsion_prefactor_element(s)
+    return _iterated_composition_density(dirac, prefactor, s.m)
 
 
 def sum_terms(terms: Dict[str, DensityValue], names: Sequence[str] = TERM_NAMES) -> DensityValue:
@@ -288,10 +319,14 @@ class TermBreakdown:
 
 
 def assemble_density(s: Scenario, tol: float = 0.0) -> TermBreakdown:
-    """Both routes: the machine terms with their sum, and the generic oracle."""
-    symbols = pipeline_symbols(s, tol)
-    terms = trace_terms(symbols, torsion_prefactor_element(s), s.m)
-    return TermBreakdown(terms, sum_terms(terms), composition_oracle_density(s), symbols)
+    """Both routes: the machine terms with their sum, and the generic oracle,
+    from one sigma(T) and one prefactor."""
+    dirac = rescaled_dirac_symbols(s)
+    prefactor = torsion_prefactor_element(s)
+    symbols = pipeline_symbols(s, tol, dirac)
+    terms = trace_terms(symbols, prefactor, s.m)
+    oracle = composition_oracle_density(s, dirac, prefactor)
+    return TermBreakdown(terms, sum_terms(terms), oracle, symbols)
 
 
 def plain_dirac_torsion_density(

@@ -476,9 +476,9 @@ def test_sweep_trial_runs_the_oracle_once(monkeypatch):
     calls = []
     oracle = torsion.composition_oracle_density
 
-    def counted(s):
+    def counted(s, *args):
         calls.append(s)
-        return oracle(s)
+        return oracle(s, *args)
 
     monkeypatch.setattr(torsion, "composition_oracle_density", counted)
     out = scenario_invariant_suite(random_scenario(2, "exact", random.Random(3)), random.Random(3))
@@ -493,9 +493,9 @@ def test_sweep_trial_retraces_the_u_variants(monkeypatch):
     calls = []
     build = torsion.pipeline_symbols
 
-    def counted(s, tol=0.0):
+    def counted(s, *args):
         calls.append(s)
-        return build(s, tol)
+        return build(s, *args)
 
     monkeypatch.setattr(torsion, "pipeline_symbols", counted)
     out = scenario_invariant_suite(random_scenario(2, "exact", random.Random(3)), random.Random(3))

@@ -306,6 +306,25 @@ def test_exact_oracle_compositions_skip_the_symbol_operations(m, monkeypatch):
         assert _triples(symbol_compose(p, r, lowest, at_origin=at_origin)) == expected
 
 
+@pytest.mark.parametrize(
+    "mode,m", [("exact", 2), ("exact", 3), ("exact", 4), ("float", 2), ("float", 3)]
+)
+def test_square_to_invert_inverts_like_the_full_square(mode, m):
+    """The oracle's square, with sigma_1 composed at the base point, makes no
+    x-linear sigma_1 jet and inverts to the q_{-2} and q_{-3} of the square
+    composed with all its jets: the same normal-form triples in exact mode,
+    equal floats in float mode."""
+    s = random_scenario(m, mode, random.Random(60 + m))
+    dirac = rescaled_dirac_symbols(s)
+    square = symbols.symbol_square_to_invert(dirac)
+    base = (0,) * s.n
+    assert all(set(jet.terms) == {base} for jet in square.take_degree(1).terms.values())
+    got = symbol_invert_order2(square, s.n)
+    want = symbol_invert_order2(symbol_compose(dirac, dirac, 1), s.n)
+    view = _triples if mode == "exact" else _symbol_terms
+    assert [view(q) for q in got] == [view(q) for q in want]
+
+
 # -- hand-made cases -------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from torsionres import geometry, reference, report, torsion
 from torsionres.clifford import CliffordElement, clifford_of_vector
 from torsionres.gamma import build_gamma_matrices, represent_element
 from torsionres.geometry import Scenario, VectorFieldJet, random_scenario
@@ -229,6 +230,51 @@ def test_term_symbols_do_not_depend_on_u_v_w(m, mode, seed):
         direct = term_densities(derived, tol)
         for name in TERM_NAMES:
             assert retraced[name] == direct[name], name
+
+
+def _counted_calls(monkeypatch, fn, modules):
+    """Record every result of ``fn`` while it runs, rebinding it in each of
+    ``modules`` that binds it under its own name."""
+    results = []
+
+    def counted(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    for module in modules:
+        if getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return results
+
+
+def _coefficients(sym):
+    return {
+        (key, xmono, blade): c
+        for key, jet in sym.terms.items()
+        for xmono, elem in jet.terms.items()
+        for blade, c in elem.terms.items()
+    }
+
+
+def test_report_builds_each_input_once(monkeypatch):
+    """One report builds sigma(T), the prefactor and the scenario invariants
+    once each, and both symbol routes leave the shared sigma(T) as built."""
+    modules = (geometry, torsion, reference, report)
+    diracs = _counted_calls(monkeypatch, geometry.rescaled_dirac_symbols, modules)
+    prefactors = _counted_calls(monkeypatch, torsion.torsion_prefactor_element, modules)
+    invariants = _counted_calls(monkeypatch, reference.scenario_invariants, modules)
+    built = []
+    pipeline = torsion.pipeline_symbols
+
+    def snapshot_then_build(s, *args):
+        built.extend(_coefficients(d) for d in diracs)
+        return pipeline(s, *args)
+
+    monkeypatch.setattr(torsion, "pipeline_symbols", snapshot_then_build)
+    doc = report.build_report(random_scenario(2, "exact", random.Random(7)))
+    assert doc["pass"] is True
+    assert (len(diracs), len(prefactors), len(invariants)) == (1, 1, 1)
+    assert built == [_coefficients(diracs[0])]
 
 
 def test_outer_argument_symmetry():
