@@ -27,7 +27,7 @@ from .geometry import (
     rescaled_dirac_square_symbols,
     rescaled_dirac_symbols,
 )
-from .reference import reference_term_densities, theorem_density
+from .reference import reference_term_densities, scenario_invariants, theorem_density
 from .report import Comparison, gating_comparisons, term_scale
 from .scalars import field_for_mode
 from .spheres import monomial_integral, monomial_integral_closed_form, sphere_volume
@@ -321,8 +321,9 @@ def scenario_invariant_suite(s: Scenario, rng: random.Random, tol: float = 0.0) 
         return sum_terms(terms), terms
 
     bd = assemble_density(s, tol)
+    inv = scenario_invariants(s)
     *term_rows, oracle_row, imag_row = gating_comparisons(
-        s, bd, reference_term_densities(s), tol
+        s, bd, reference_term_densities(s, inv), tol
     )
     record([oracle_row], "assembled equals composition oracle (residual {:.2e})")
     record(term_rows, "per-term densities match derived closed forms (worst {:.2e})")
@@ -356,7 +357,7 @@ def scenario_invariant_suite(s: Scenario, rng: random.Random, tol: float = 0.0) 
         return compare(sum_terms(bd.terms, names), sum_terms(wu_terms, names),
                        bd.terms, wu_terms)
 
-    theorem = compare(theorem_density(s), theorem_density(s_wu), bd.terms, wu_terms)
+    theorem = compare(theorem_density(s, inv), theorem_density(s_wu), bd.terms, wu_terms)
     record([compare(bd.assembled, wu_sum, bd.terms, wu_terms)]
            + [exchanged(name) for name in ("l2", "l3", "l4", "l5")]
            + [exchanged("h1", "l1", "k1", "k2")],

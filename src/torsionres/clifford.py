@@ -16,7 +16,9 @@ each).  ``exact_rows`` flattens each operand into keyed rows of
 Gaussian-integer numerators over one common denominator: a Clifford
 element is a single row, a jet has one row per x-monomial
 (``jets.Jet.__mul__``), a symbol one per (xi key, x-monomial)
-(``symbols.symbol_product`` and ``symbols.symbol_compose``).  Row pairs
+(``symbols.symbol_product`` and ``symbols.symbol_compose``).  Jet and
+symbol rows are grouped by x-degree, so that only row pairs within the jet
+cap are passed to the kernel (``jets.accumulate_within_cap``).  Row pairs
 are matched by the caller's key rule, the numerators landing on each
 (output key, blade) are summed as plain ints under the cached blade sign,
 and each nonzero sum is brought to normal form once: one gcd per output
@@ -314,7 +316,8 @@ def clifford_product(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     na = exact_rows(((0, a),))
     nb = exact_rows(((0, b),)) if na is not None else None
     if nb is not None:
-        return exact_bilinear(a.dim, na, nb, _single_row).get(0, CliffordElement.zero(a.dim))
+        product = exact_bilinear(a.dim, na, nb, _single_row).get(0)
+        return CliffordElement.zero(a.dim) if product is None else product
     out: Dict[int, object] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():

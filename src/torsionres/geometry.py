@@ -20,6 +20,7 @@ Two sub-models live here.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .clifford import CliffordElement, FrameVector, clifford_of_vector
 from .jets import Jet, invert_scalar_jet
-from .scalars import EXACT, field_for_mode
+from .scalars import EXACT, _reduced, field_for_mode
 from .symbols import Symbol, symbol_invert_order2, symbol_residual, symbols_equal
 
 
@@ -53,6 +54,13 @@ class CurvatureData:
     The index convention follows the metric expansion: antisymmetry in
     (a,c) and (b,d), pair symmetry (a,c)<->(b,d), and the first Bianchi
     identity R_acbd + R_abdc + R_adcb = 0, all validated on construction.
+
+    Validation runs on the integer numerators of the components over one
+    common denominator, and on the tensor's support only.  A Bianchi sum at
+    (a,c,b,d) can be nonzero only if one of its three terms is a stored
+    component, so each stored (x,y,z,w) names the three tuples (x,y,z,w),
+    (x,w,y,z) and (x,z,w,y) to check.  They are checked in sorted order: the
+    first violation reported is the first in the order of all n^4 tuples.
     """
 
     n: int
@@ -60,7 +68,8 @@ class CurvatureData:
 
     def __post_init__(self):
         self.components = {
-            k: Fraction(v) for k, v in self.components.items() if v != 0
+            k: v if isinstance(v, Fraction) else Fraction(v)
+            for k, v in self.components.items() if v != 0
         }
         for (a, c, b, d) in self.components:
             for idx in (a, c, b, d):
@@ -72,25 +81,20 @@ class CurvatureData:
         return self.components.get((a, c, b, d), Fraction(0))
 
     def _validate(self):
-        for (a, c, b, d), v in self.components.items():
-            if self.value(c, a, b, d) != -v or self.value(a, c, d, b) != -v:
+        den = math.lcm(*(v.denominator for v in self.components.values()))
+        num = {k: v.numerator * (den // v.denominator) for k, v in self.components.items()}
+        get = num.get
+        for (a, c, b, d), v in num.items():
+            if get((c, a, b, d), 0) != -v or get((a, c, d, b), 0) != -v:
                 raise ValueError(f"curvature antisymmetry violated at {(a, c, b, d)}")
-            if self.value(b, d, a, c) != v:
+            if get((b, d, a, c), 0) != v:
                 raise ValueError(f"curvature pair symmetry violated at {(a, c, b, d)}")
-        rng = range(1, self.n + 1)
-        for a in rng:
-            for c in rng:
-                for b in rng:
-                    for d in rng:
-                        bianchi = (
-                            self.value(a, c, b, d)
-                            + self.value(a, b, d, c)
-                            + self.value(a, d, c, b)
-                        )
-                        if bianchi != 0:
-                            raise ValueError(
-                                f"first Bianchi identity violated at {(a, c, b, d)}"
-                            )
+        candidates = set(num)
+        candidates.update((x, w, y, z) for (x, y, z, w) in num)
+        candidates.update((x, z, w, y) for (x, y, z, w) in num)
+        for (a, c, b, d) in sorted(candidates):
+            if get((a, c, b, d), 0) + get((a, b, d, c), 0) + get((a, d, c, b), 0):
+                raise ValueError(f"first Bianchi identity violated at {(a, c, b, d)}")
 
     @staticmethod
     def from_entries(
@@ -110,49 +114,48 @@ class CurvatureData:
 
     def ricci(self) -> Dict[Tuple[int, int], Fraction]:
         """Ric_cd = sum_a R_acad (the contraction fixed by the Laplacian check)."""
-        out: Dict[Tuple[int, int], Fraction] = {}
-        for c in range(1, self.n + 1):
-            for d in range(1, self.n + 1):
-                s = sum(
-                    (self.value(a, c, a, d) for a in range(1, self.n + 1)),
-                    Fraction(0),
-                )
-                if s != 0:
-                    out[(c, d)] = s
-        return out
+        sums: Dict[Tuple[int, int], Fraction] = {}
+        for (a, c, b, d), v in self.components.items():
+            if a == b:
+                sums[(c, d)] = sums.get((c, d), 0) + v
+        return {cd: sums[cd] for cd in sorted(sums) if sums[cd] != 0}
 
 
 def random_curvature(n: int, rng: random.Random, terms: int = 2) -> CurvatureData:
-    """Random admissible curvature via Kulkarni-Nomizu products of symmetric tensors."""
+    """Random admissible curvature via Kulkarni-Nomizu products of symmetric tensors.
 
-    def sym_matrix() -> List[List[Fraction]]:
-        mat = [[Fraction(0)] * n for _ in range(n)]
+    Every entry of the symmetric tensors is p/q with q in {1, 2}, so the
+    products run on the doubled entries in plain ints and each component is
+    their sum over 4.
+    """
+
+    def doubled_sym_matrix() -> List[List[int]]:
+        mat = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                v = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                p = rng.randint(-2, 2)
+                v = 2 * p // rng.randint(1, 2)
                 mat[i][j] = v
                 mat[j][i] = v
         return mat
 
-    comps: Dict[Tuple[int, int, int, int], Fraction] = {}
+    sums: Dict[Tuple[int, int, int, int], int] = {}
     for _ in range(terms):
-        h, k = sym_matrix(), sym_matrix()
-        for a in range(1, n + 1):
-            for c in range(1, n + 1):
-                for b in range(1, n + 1):
-                    for d in range(1, n + 1):
-                        v = (
-                            h[a - 1][b - 1] * k[c - 1][d - 1]
-                            + h[c - 1][d - 1] * k[a - 1][b - 1]
-                            - h[a - 1][d - 1] * k[c - 1][b - 1]
-                            - h[c - 1][b - 1] * k[a - 1][d - 1]
-                        )
+        h, k = doubled_sym_matrix(), doubled_sym_matrix()
+        for a in range(n):
+            ha, ka = h[a], k[a]
+            for c in range(n):
+                if c == a:
+                    continue  # antisymmetric in (a, c)
+                hc, kc = h[c], k[c]
+                for b in range(n):
+                    hab, kab, hcb, kcb = ha[b], ka[b], hc[b], kc[b]
+                    for d in range(n):
+                        v = hab * kc[d] + hc[d] * kab - ha[d] * kcb - hcb * ka[d]
                         if v:
-                            comps[(a, c, b, d)] = comps.get(
-                                (a, c, b, d), Fraction(0)
-                            ) + v
-    comps = {k2: v for k2, v in comps.items() if v != 0}
-    return CurvatureData(n, comps)
+                            key = (a + 1, c + 1, b + 1, d + 1)
+                            sums[key] = sums.get(key, 0) + v
+    return CurvatureData(n, {key: Fraction(v, 4) for key, v in sums.items() if v})
 
 
 # ---------------------------------------------------------------------------
@@ -182,37 +185,39 @@ def build_metric_jets(curv: CurvatureData) -> NormalMetricJets:
     """g_ab = delta - (1/3) R_acbd x^c x^d, its inverse, and sqrt(det g)."""
     n = curv.n
     fld = EXACT
-    third = Fraction(1, 3)
+    zero_mono = (0,) * n
+    monos = [
+        [tuple((i == c) + (i == d) for i in range(n)) for d in range(n)] for c in range(n)
+    ]
+    # R_acbd x^c x^d, grouped by (a, b) in one pass over the nonzero
+    # components; sorted, so that each jet lists its monomials in (c, d) order
+    quadratic: Dict[Tuple[int, int], Dict[Tuple[int, ...], Fraction]] = {}
+    for (a, c, b, d), v in sorted(curv.components.items()):
+        group = quadratic.setdefault((a - 1, b - 1), {})
+        mono = monos[c - 1][d - 1]
+        group[mono] = group.get(mono, 0) + v
 
-    def quadratic(a: int, b: int, sign: int) -> Jet:
-        entries: Dict[Tuple[int, ...], object] = {}
-        if a == b:
-            entries[(0,) * n] = fld.one
-        for c in range(1, n + 1):
-            for d in range(1, n + 1):
-                v = curv.value(a, c, b, d)
-                if v == 0:
-                    continue
-                mono = tuple(
-                    (1 if i == c - 1 else 0) + (1 if i == d - 1 else 0)
-                    for i in range(n)
-                )
-                coeff = fld.of(sign * third * v)
-                if mono in entries:
-                    entries[mono] = entries[mono] + coeff
-                else:
-                    entries[mono] = coeff
-        return _scalar_jet(n, entries)
+    def metric(sign: int) -> List[List[Jet]]:
+        rows = []
+        for a in range(n):
+            row = []
+            for b in range(n):
+                entries: Dict[Tuple[int, ...], object] = {}
+                if a == b:
+                    entries[zero_mono] = fld.one
+                for mono, v in quadratic.get((a, b), {}).items():
+                    entries[mono] = _reduced(sign * v.numerator, 0, 3 * v.denominator)
+                row.append(_scalar_jet(n, entries))
+            rows.append(row)
+        return rows
 
-    g_lower = [[quadratic(a, b, -1) for b in range(1, n + 1)] for a in range(1, n + 1)]
-    g_upper = [[quadratic(a, b, +1) for b in range(1, n + 1)] for a in range(1, n + 1)]
+    g_lower = metric(-1)
+    g_upper = metric(+1)
 
     sixth = Fraction(1, 6)
-    entries = {(0,) * n: fld.one}
+    entries = {zero_mono: fld.one}
     for (c, d), v in curv.ricci().items():
-        mono = tuple(
-            (1 if i == c - 1 else 0) + (1 if i == d - 1 else 0) for i in range(n)
-        )
+        mono = monos[c - 1][d - 1]
         coeff = fld.of(-sixth * v)
         entries[mono] = entries.get(mono, fld.of(0)) + coeff
     sqrt_det = _scalar_jet(n, entries)

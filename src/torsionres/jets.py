@@ -8,7 +8,9 @@ through the (noncommutative) Clifford product, so jet factors are never
 reordered.  An exact product runs in the integer kernel of ``clifford``
 with one row per monomial: the numerators of all Clifford products that
 land on one output monomial are summed before a single reduction per
-blade.
+blade.  Rows go in order of x-degree, and only pairs whose x-degrees add
+up to at most the cap reach the kernel (``accumulate_within_cap``, shared
+with the exact symbol products of ``symbols``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from operator import add
 from typing import Dict, Tuple
 
-from .clifford import CliffordElement, exact_bilinear, exact_rows
+from .clifford import CliffordElement, exact_accumulate, exact_reduce, exact_rows
 
 Monomial = Tuple[int, ...]
 
@@ -31,6 +33,46 @@ def _mono_degree(mono: Monomial) -> int:
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
+
+
+def accumulate_within_cap(acc, xs, ys, cap: int, combine) -> None:
+    """``exact_accumulate`` on the pairs of rows of ``xs`` and ``ys`` whose
+    x-degrees add up to at most ``cap``.
+
+    Both row lists are in order of x-degree, the last entry of each row key.
+    When no pair can pass the cap, all rows go to the kernel in one call;
+    otherwise each x-degree group of ``xs`` meets the prefix of ``ys`` that
+    stays within the cap.
+    """
+    if xs[-1][0][-1] + ys[-1][0][-1] <= cap:
+        exact_accumulate(acc, xs, ys, combine)
+        return
+    x_sizes, y_sizes = [0] * (cap + 1), [0] * (cap + 1)
+    for key, _ in xs:
+        x_sizes[key[-1]] += 1
+    for key, _ in ys:
+        y_sizes[key[-1]] += 1
+    start = 0
+    for degree, size in enumerate(x_sizes):
+        within = sum(y_sizes[:cap - degree + 1])
+        if size and within:
+            exact_accumulate(acc, xs[start:start + size], ys[:within], combine)
+        start += size
+
+
+def _jet_rows(jet: "Jet"):
+    """``exact_rows`` of a jet, one row per monomial, keyed by
+    ``(monomial, degree)`` and in order of degree."""
+    by_degree = [[] for _ in range(jet.max_degree + 1)]
+    for mono, elem in jet.terms.items():
+        degree = _mono_degree(mono)
+        by_degree[degree].append(((mono, degree), elem))
+    return exact_rows([row for rows in by_degree for row in rows])
+
+
+def _jet_pair_key(ka, kb) -> Monomial:
+    """The key rule of a jet product: the product monomial."""
+    return _mono_mul(ka[0], kb[0])
 
 
 def coefficient_dim(*jets: "Jet") -> int:
@@ -107,16 +149,14 @@ class Jet:
         cap = self.max_degree
         if not self.terms or not other.terms:
             return Jet(self.nvars, cap)
-        left = exact_rows(self.terms.items())
-        right = exact_rows(other.terms.items()) if left is not None else None
+        left = _jet_rows(self)
+        right = _jet_rows(other) if left is not None else None
         if right is not None:
-
-            def combine(ma, mb):
-                m = _mono_mul(ma, mb)
-                return m if _mono_degree(m) <= cap else None
-
+            (xs, da), (ys, db) = left, right
+            acc: Dict = {}
+            accumulate_within_cap(acc, xs, ys, cap, _jet_pair_key)
             return Jet._trusted(
-                self.nvars, cap, exact_bilinear(coefficient_dim(self, other), left, right, combine)
+                self.nvars, cap, exact_reduce(coefficient_dim(self, other), acc, da * db)
             )
         out: Dict[Monomial, CliffordElement] = {}
         for ma, ca in self.terms.items():

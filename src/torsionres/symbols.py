@@ -16,12 +16,14 @@ with their power-cross sum (``power_expansion``), from which the term
 route builds the negative powers.
 
 An exact ``symbol_product`` does not multiply jets pair by pair: both
-symbols are flattened into one row per (xi key, x-monomial) and go through
-the integer kernel of ``clifford`` once, which skips row pairs past the jet
-degree cap or below ``lowest_degree`` and reduces each output coefficient
-once.  An exact ``symbol_compose`` flattens its operands once, takes the
-xi- and x-derivatives of every alpha on the rows, and sums all alpha terms
-in one kernel accumulator.  Float symbols keep the per-pair loop through
+symbols are flattened into one row per (xi key, x-monomial), grouped by
+x-degree, and go through the integer kernel of ``clifford``, which reduces
+each output coefficient once.  Only row pairs whose x-degrees add up to at
+most the jet cap reach the kernel (``jets.accumulate_within_cap``), and the
+key rule skips the pairs below ``lowest_degree``.  An exact ``symbol_compose``
+flattens its operands once, takes the xi- and x-derivatives of every alpha
+on the rows, which keeps them grouped, and sums all alpha terms in one
+kernel accumulator.  Float symbols keep the per-pair loop through
 ``Jet.__mul__``, and float compositions one symbol product per alpha.
 
 Equality of symbols is decided exactly: the representation by monomials
@@ -36,8 +38,8 @@ import itertools
 import math
 from typing import Dict, Iterable, List, Tuple
 
-from .clifford import CliffordElement, exact_accumulate, exact_bilinear, exact_reduce, exact_rows
-from .jets import Jet, _mono_mul, coefficient_dim, invert_scalar_jet
+from .clifford import CliffordElement, exact_reduce, exact_rows
+from .jets import Jet, _mono_mul, accumulate_within_cap, coefficient_dim, invert_scalar_jet
 
 XiMono = Tuple[int, ...]
 TermKey = Tuple[XiMono, int]  # (xi exponents, norm power k meaning |xi|^{2k})
@@ -198,12 +200,15 @@ class Symbol:
 
 def _exact_symbol_rows(s: Symbol):
     """``exact_rows`` of a symbol, one row per (xi key, x-monomial), keyed by
-    ``(xi exponents, norm power, xi-degree, x-monomial, x-degree)``."""
-    return exact_rows([
-        ((mono, k, sum(mono) + 2 * k, xmono, sum(xmono)), elem)
-        for (mono, k), jet in s.terms.items()
-        for xmono, elem in jet.terms.items()
-    ])
+    ``(xi exponents, norm power, xi-degree, x-monomial, x-degree)`` and in
+    order of x-degree, as ``accumulate_within_cap`` takes them."""
+    by_degree = [[] for _ in range(s.max_degree + 1)]
+    for (mono, k), jet in s.terms.items():
+        deg = sum(mono) + 2 * k
+        for xmono, elem in jet.terms.items():
+            xdeg = sum(xmono)
+            by_degree[xdeg].append(((mono, k, deg, xmono, xdeg), elem))
+    return exact_rows([row for rows in by_degree for row in rows])
 
 
 def _row_times(row, c: int, quarters: int = 0):
@@ -239,7 +244,8 @@ def _xi_derivative_rows(rows, j: int):
 
 def _x_derivative_rows(rows, j: int):
     """``Symbol.partial_x(j + 1)`` on symbol rows: x-monomials without x_j
-    drop out, the others lose one power and scale by its exponent."""
+    drop out, the others lose one power and scale by its exponent.  Every
+    x-degree drops by one, so rows in order of x-degree stay in order."""
     out = []
     for (mono, k, deg, xmono, xdeg), row in rows:
         e = xmono[j]
@@ -248,16 +254,17 @@ def _x_derivative_rows(rows, j: int):
     return out
 
 
-def _row_pair_rule(cap: int, lowest_degree: int | None):
+def _row_pair_rule(lowest_degree: int | None):
     """The ``combine`` rule of a product of symbol rows: the output key is
     ``((xi exponents, norm power), x-monomial)``; pairs whose xi-degree falls
-    below ``lowest_degree`` or whose x-degree passes ``cap`` are skipped."""
+    below ``lowest_degree`` are skipped.  Pairs past the jet cap never get
+    here: ``accumulate_within_cap`` leaves them out."""
     lowest = -math.inf if lowest_degree is None else lowest_degree
 
     def combine(ka, kb):
-        ma, pa, da, xa, ea = ka
-        mb, pb, db, xb, eb = kb
-        if da + db < lowest or ea + eb > cap:
+        ma, pa, da, xa, _ = ka
+        mb, pb, db, xb, _ = kb
+        if da + db < lowest:
             return None
         return (_mono_mul(ma, mb), pa + pb), _mono_mul(xa, xb)
 
@@ -286,8 +293,10 @@ def symbol_product(a: Symbol, b: Symbol, lowest_degree: int | None = None) -> Sy
     left = _exact_symbol_rows(a)
     right = _exact_symbol_rows(b) if left is not None else None
     if right is not None:
-        combine = _row_pair_rule(a.max_degree, lowest_degree)
-        return _symbol_of_elements(a, exact_bilinear(_first_dim(a, b), left, right, combine))
+        (xs, da), (ys, db) = left, right
+        acc: Dict = {}
+        accumulate_within_cap(acc, xs, ys, a.max_degree, _row_pair_rule(lowest_degree))
+        return _symbol_of_elements(a, exact_reduce(_first_dim(a, b), acc, da * db))
     out: Dict[TermKey, Jet] = {}
     for (ma, ka), ja in a.terms.items():
         da = sum(ma) + 2 * ka
@@ -369,7 +378,7 @@ def _exact_alpha_sum(p, q, left, right, alphas, lowest_degree, at_origin) -> Sym
     """The alpha-sum of ``symbol_compose`` in one kernel accumulator."""
     (p_rows, d_p), (q_rows, d_q) = left, right
     scale = math.lcm(*(fact for _, _, fact in alphas))
-    combine = _row_pair_rule(p.max_degree, lowest_degree)
+    combine = _row_pair_rule(lowest_degree)
     acc: Dict = {}
     for order, mus, fact in alphas:
         dq = q_rows
@@ -385,7 +394,8 @@ def _exact_alpha_sum(p, q, left, right, alphas, lowest_degree, at_origin) -> Sym
         if not dp:
             continue
         c = scale // fact
-        exact_accumulate(acc, [(key, _row_times(row, c, order)) for key, row in dp], dq, combine)
+        dp = [(key, _row_times(row, c, order)) for key, row in dp]
+        accumulate_within_cap(acc, dp, dq, p.max_degree, combine)
     return _symbol_of_elements(p, exact_reduce(_first_dim(p, q), acc, d_p * d_q * scale))
 
 

@@ -449,8 +449,8 @@ def test_float_sweep_gates_like_the_report_at_small_terms(monkeypatch):
 
     derived = checks.reference_term_densities
 
-    def shifted(scenario):
-        ref = dict(derived(scenario))
+    def shifted(scenario, *args):
+        ref = dict(derived(scenario, *args))
         ref["l4"] = DensityValue(ref["l4"].value + shift, scenario.m)
         return ref
 

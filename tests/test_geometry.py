@@ -77,6 +77,125 @@ def test_random_curvature_is_admissible(n):
     assert curv.value(b, d, a, c) == curv.value(a, c, b, d)
 
 
+
+def _reference_random_curvature(n, rng, terms=2):
+    """The components ``random_curvature`` gives: its Kulkarni-Nomizu loop
+    over all n^4 index tuples, on ``Fraction`` entries."""
+
+    def sym_matrix():
+        mat = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                v = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                mat[i][j] = v
+                mat[j][i] = v
+        return mat
+
+    comps = {}
+    for _ in range(terms):
+        h, k = sym_matrix(), sym_matrix()
+        for a in range(1, n + 1):
+            for c in range(1, n + 1):
+                for b in range(1, n + 1):
+                    for d in range(1, n + 1):
+                        v = (
+                            h[a - 1][b - 1] * k[c - 1][d - 1]
+                            + h[c - 1][d - 1] * k[a - 1][b - 1]
+                            - h[a - 1][d - 1] * k[c - 1][b - 1]
+                            - h[c - 1][b - 1] * k[a - 1][d - 1]
+                        )
+                        if v:
+                            comps[(a, c, b, d)] = comps.get((a, c, b, d), Fraction(0)) + v
+    return {key: v for key, v in comps.items() if v != 0}
+
+
+def _reference_rejection(n, components):
+    """The message ``CurvatureData`` raises for ``components``, or None: the
+    symmetry checks on every component, then the first Bianchi identity on
+    all n^4 index tuples in order."""
+    comps = {key: Fraction(v) for key, v in components.items() if v != 0}
+
+    def value(*key):
+        return comps.get(key, Fraction(0))
+
+    for key in comps:
+        for idx in key:
+            if not 1 <= idx <= n:
+                return f"curvature index {idx} out of range 1..{n}"
+    for (a, c, b, d), v in comps.items():
+        if value(c, a, b, d) != -v or value(a, c, d, b) != -v:
+            return f"curvature antisymmetry violated at {(a, c, b, d)}"
+        if value(b, d, a, c) != v:
+            return f"curvature pair symmetry violated at {(a, c, b, d)}"
+    rng = range(1, n + 1)
+    for a in rng:
+        for c in rng:
+            for b in rng:
+                for d in rng:
+                    if value(a, c, b, d) + value(a, b, d, c) + value(a, d, c, b) != 0:
+                        return f"first Bianchi identity violated at {(a, c, b, d)}"
+    return None
+
+
+def _orbit(key, v):
+    return {tuple(key[p] for p in perm): sign * v for perm, sign in geometry._ORBIT_SIGNS}
+
+
+def _shifted(components, key, by):
+    out = dict(components)
+    for k2, v in _orbit(key, by).items():
+        out[k2] = out.get(k2, 0) + v
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("terms", [1, 2, 3])
+def test_random_curvature_matches_the_fraction_loop(n, terms):
+    """Same components in the same key order, and the same draws taken."""
+    for seed in range(10):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        curv = random_curvature(n, rng, terms)
+        want = _reference_random_curvature(n, ref_rng, terms)
+        assert list(curv.components.items()) == list(want.items())
+        assert rng.random() == ref_rng.random()
+
+
+_CURVED = random_curvature(4, random.Random(2)).components
+_CURVED6 = random_curvature(6, random.Random(4)).components
+
+
+@pytest.mark.parametrize(
+    "n,components",
+    [
+        (4, _CURVED),
+        (6, _CURVED6),
+        (4, {(1, 2, 1, 2): Fraction(1)}),
+        (4, {(1, 2, 1, 5): Fraction(1)}),
+        # lone orbits: the Bianchi sum first fails at (1, 2, 3, 4), where the
+        # stored term is R_1234, R_1342 and R_1423 in turn
+        (4, _orbit((1, 2, 3, 4), Fraction(1))),
+        (4, _orbit((1, 3, 4, 2), Fraction(1))),
+        (4, _orbit((1, 4, 2, 3), Fraction(2, 3))),
+        (4, {k: v for k, v in _orbit((1, 2, 3, 4), 1).items() if k[0] < 3}),
+        (4, {**_CURVED, next(iter(_CURVED)): -next(iter(_CURVED.values()))}),
+        (4, _shifted(_CURVED, (1, 2, 3, 4), Fraction(1, 4))),
+        (6, _shifted(_CURVED6, (2, 5, 3, 6), Fraction(-1, 2))),
+        (6, _shifted(_CURVED6, (4, 1, 6, 3), Fraction(3))),
+    ],
+)
+def test_validation_matches_the_full_index_loop(n, components):
+    """``CurvatureData`` accepts what the n^4 loop accepts and rejects what
+    it rejects, with the message of the first violation it finds."""
+    want = _reference_rejection(n, components)
+    if want is None:
+        assert CurvatureData(n, components).components == {
+            k: v for k, v in components.items() if v
+        }
+    else:
+        with pytest.raises(ValueError) as err:
+            CurvatureData(n, components)
+        assert str(err.value) == want
+
 # -- metric jets and the Laplacian -------------------------------------------
 
 

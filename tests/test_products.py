@@ -22,8 +22,14 @@ from hypothesis import strategies as st
 from torsionres.clifford import CliffordElement, blade_product_sign
 from torsionres.jets import Jet
 from torsionres.scalars import EXACT, FLOAT
-from torsionres import symbols
-from torsionres.geometry import random_scenario, rescaled_dirac_symbols
+from torsionres import jets, symbols
+from torsionres.geometry import (
+    build_metric_jets,
+    laplacian_symbol,
+    random_curvature,
+    random_scenario,
+    rescaled_dirac_symbols,
+)
 from torsionres.symbols import Symbol, symbol_compose, symbol_invert_order2, symbol_product
 
 
@@ -324,6 +330,35 @@ def test_square_to_invert_inverts_like_the_full_square(mode, m):
     view = _triples if mode == "exact" else _symbol_terms
     assert [view(q) for q in got] == [view(q) for q in want]
 
+
+
+def test_no_row_pair_past_the_jet_cap_reaches_a_key_rule(monkeypatch):
+    """Exact jet and symbol products leave out row pairs whose x-degrees add
+    up to more than the jet cap before the kernel asks the key rule: over the
+    inversion of a curved Laplacian (quadratic jets), neither rule sees one."""
+    jet_degrees, symbol_degrees = [], []
+    jet_key, row_rule = jets._jet_pair_key, symbols._row_pair_rule
+
+    def watched_jet_key(ka, kb):
+        jet_degrees.append(sum(ka[0]) + sum(kb[0]))
+        return jet_key(ka, kb)
+
+    def watched_row_rule(*args):
+        combine = row_rule(*args)
+
+        def watched(ka, kb):
+            symbol_degrees.append(sum(ka[3]) + sum(kb[3]))
+            return combine(ka, kb)
+
+        return watched
+
+    monkeypatch.setattr(jets, "_jet_pair_key", watched_jet_key)
+    monkeypatch.setattr(symbols, "_row_pair_rule", watched_row_rule)
+    curv = random_curvature(4, random.Random(5))
+    symbol_invert_order2(laplacian_symbol(build_metric_jets(curv)), 4)
+    cap = 2
+    assert jet_degrees and max(jet_degrees) == cap
+    assert symbol_degrees and max(symbol_degrees) == cap
 
 # -- hand-made cases -------------------------------------------------------------
 

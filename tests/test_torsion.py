@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torsionres import geometry, reference, report, torsion
+from torsionres import checks, geometry, reference, report, torsion
 from torsionres.clifford import CliffordElement, clifford_of_vector
 from torsionres.gamma import build_gamma_matrices, represent_element
 from torsionres.geometry import Scenario, VectorFieldJet, random_scenario
@@ -276,6 +276,17 @@ def test_report_builds_each_input_once(monkeypatch):
     assert (len(diracs), len(prefactors), len(invariants)) == (1, 1, 1)
     assert built == [_coefficients(diracs[0])]
 
+
+
+def test_invariant_suite_builds_the_scenario_invariants_once_per_scenario(monkeypatch):
+    """One sweep trial builds the invariants of its scenario once, shared by
+    the per-term closed forms and the theorem value, and those of the
+    u<->w scenario once."""
+    invariants = _counted_calls(monkeypatch, reference.scenario_invariants, (reference, checks))
+    rng = random.Random(8)
+    outcome = checks.scenario_invariant_suite(random_scenario(2, "exact", rng), rng)
+    assert outcome.passed
+    assert len(invariants) == 2
 
 def test_outer_argument_symmetry():
     rng = random.Random(43)
