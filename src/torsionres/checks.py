@@ -160,12 +160,15 @@ def check_trace_identities(seed: int = 0) -> CheckOutcome:
                 )
                 for _ in range(6)
             ]
+            # one left-to-right chain c(v_1)...c(v_k), extended from k to k + 2
+            prod = clifford_of_vector(vectors[0])
+            done = 1
             try:
                 for k in (2, 4, 6):
                     value = lemma33_trace_identity(k, vectors[:k], m, fld)
-                    prod = clifford_of_vector(vectors[0])
-                    for vv in vectors[1:k]:
+                    for vv in vectors[done:k]:
                         prod = prod * clifford_of_vector(vv)
+                    done = k
                     mat = represent_element(prod, gammas)
                     worst = max(worst, abs(np.trace(mat) - complex(value)))
             except VerificationError:

@@ -228,7 +228,20 @@ class _ExactField:
     i = None  # type: GaussianRational
 
     def of(self, x):
-        """Coerce an int/Fraction/str/GaussianRational into this field."""
+        """Coerce an int/Fraction/str/GaussianRational into this field.
+
+        A plain ``int`` is the triple ``(x, 0, 1)`` and a plain ``Fraction``
+        the triple ``(numerator, 0, denominator)``: a Fraction is already in
+        lowest terms with a positive denominator, which is the normal form.
+        Neither goes through a Fraction round-trip.  Every other input (a
+        ``bool``, a ``str``, a subclass) takes the general constructor, and
+        a float or complex raises ``TypeError`` there.
+        """
+        t = type(x)
+        if t is int:
+            return _new(x, 0, 1)
+        if t is Fraction:
+            return _new(x.numerator, 0, x.denominator)
         if isinstance(x, GaussianRational):
             return x
         return GaussianRational(_as_fraction(x))

@@ -355,11 +355,16 @@ def trace_pairing_formula(vectors: Sequence[FrameVector], m: int, field):
     """Closed form for tr[c(X_1)...c(X_k)] via signed perfect pairings.
 
     Recursion: pair X_1 with each X_j; the cost of walking X_1 up to X_j
-    is (-1)^j, and each contraction contributes -g(X_1, X_j).
+    is (-1)^j, and each contraction contributes -g(X_1, X_j).  The pairings
+    g(X_a, X_b), a < b, are computed once up front (k(k-1)/2 dots, 15 for
+    k = 6) and read by every branch of the recursion.
     """
     k = len(vectors)
     if k % 2 == 1:
         return field.of(0)
+    gram = {
+        (a, b): vectors[a].dot(vectors[b]) for a in range(k) for b in range(a + 1, k)
+    }
 
     def rec(idx: Tuple[int, ...]):
         if not idx:
@@ -368,7 +373,7 @@ def trace_pairing_formula(vectors: Sequence[FrameVector], m: int, field):
         first = idx[0]
         for pos in range(1, len(idx)):
             rest = idx[1:pos] + idx[pos + 1 :]
-            term = vectors[first].dot(vectors[idx[pos]]) * rec(rest)
+            term = gram[first, idx[pos]] * rec(rest)
             # pairing across an even gap flips sign: net factor -(-1)^{pos+1}
             if pos % 2 == 1:
                 total = total - term
@@ -421,12 +426,22 @@ _SIX_PAIRINGS = (
 def lemma34_contraction(index: int, s: Scenario):
     """One of the fifteen Jacobian contractions behind the h1/k-term traces.
 
-    The left side is the brute-force sum over j, alpha of
+    The left side is the sum over every nonzero J[j][alpha] of
     J[j][alpha] * (pairing term of tr[c(V)c(u)c(v)c(w)c(e_j)c(e_alpha)]),
-    the right side the closed form in gradients of V.  Items 6 and 12 use
-    the sign the index sum forces (+g(w, grad_V V) g(u,v) and
-    +div V g(V,v) g(u,w)); the corresponding printed variants carry the
-    opposite sign.  Returns (lhs, rhs) after asserting equality.
+    the pairing taken from ``_SIX_PAIRINGS``; the right side is the closed
+    form in gradients of V.  What does not depend on (j, alpha) is taken
+    out of the sum: the sign and the pairings of two fixed slots (V, u, v,
+    w) multiply once per call.  When e_j pairs with e_alpha the factor is
+    delta_{j alpha}, so only the diagonal entries are visited; otherwise e_j
+    pairs with a fixed vector x and e_alpha with a fixed vector y, and the
+    sum is factored as sum_j x_j sum_alpha J[j][alpha] y_alpha.  The left
+    side reads the Jacobian entries and frame components directly and
+    never calls ``d_norm_sq``, ``directional`` or ``divergence``, which the
+    closed forms use; each closed form computes d|V|^2 or div V only when
+    it reads it.  Items 6 and 12 use the sign the index sum forces
+    (+g(w, grad_V V) g(u,v) and +div V g(V,v) g(u,w)); the corresponding
+    printed variants carry the opposite sign.  Returns (lhs, rhs) after
+    asserting equality.
     """
     if not 1 <= index <= 15:
         raise ValueError(f"contraction index {index} out of 1..15")
@@ -435,49 +450,55 @@ def lemma34_contraction(index: int, s: Scenario):
 
     # slots 0..3 hold V,u,v,w; slot 4 is the basis vector e_j, slot 5 is e_alpha
     vecs = [s.V.value, s.u, s.v, s.w]
-
-    def pair_value(a: int, b: int, j: int, alpha: int):
-        if a < 4 and b < 4:
-            return vecs[a].dot(vecs[b])
-        if a < 4:
-            return vecs[a].components[j if b == 4 else alpha]
+    fixed = fld.one if sign > 0 else fld.of(-1)
+    row = col = None  # the fixed vectors paired with e_j and with e_alpha
+    for (a, b) in pairing:
         if b < 4:
-            return vecs[b].components[j if a == 4 else alpha]
-        return fld.one if j == alpha else fld.of(0)
+            fixed = fixed * vecs[a].dot(vecs[b])
+        elif a < 4:
+            if b == 4:
+                row = vecs[a].components
+            else:
+                col = vecs[a].components
 
-    lhs = fld.of(0)
-    for j in range(n):
-        for alpha in range(n):
-            jac = s.V.jacobian[j][alpha]
-            if not bool(jac):
-                continue
-            prod = fld.one if sign > 0 else fld.of(-1)
-            for (a, b) in pairing:
-                prod = prod * pair_value(a, b, j, alpha)
-            lhs = lhs + jac * prod
+    jac = s.V.jacobian
+    total = fld.zero
+    if row is None:  # e_j paired with e_alpha: delta_{j alpha}
+        for j in range(n):
+            entry = jac[j][j]
+            if bool(entry):
+                total = total + entry
+    else:
+        for j in range(n):
+            inner = fld.zero
+            for alpha, entry in enumerate(jac[j]):
+                if bool(entry):
+                    inner = inner + entry * col[alpha]
+            total = total + row[j] * inner
+    lhs = fixed * total
 
     u, v, w = s.u, s.v, s.w
     half = fld.of(Fraction(1, 2))
-    d = s.V.d_norm_sq()
+    d = s.V.d_norm_sq
     grad = s.V.directional
     V0 = s.V.value
-    div = s.V.divergence()
+    div = s.V.divergence
     rhs_table = {
-        1: lambda: (fld.of(0) - half) * u.dot(d) * v.dot(w),
-        2: lambda: half * v.dot(d) * u.dot(w),
-        3: lambda: (fld.of(0) - half) * w.dot(d) * u.dot(v),
+        1: lambda: (fld.of(0) - half) * u.dot(d()) * v.dot(w),
+        2: lambda: half * v.dot(d()) * u.dot(w),
+        3: lambda: (fld.of(0) - half) * w.dot(d()) * u.dot(v),
         4: lambda: grad(V0).dot(u) * v.dot(w),
         5: lambda: fld.of(-1) * grad(V0).dot(v) * u.dot(w),
         6: lambda: grad(V0).dot(w) * u.dot(v),
         7: lambda: fld.of(-1) * V0.dot(w) * grad(v).dot(u),
         8: lambda: V0.dot(w) * grad(u).dot(v),
-        9: lambda: fld.of(-1) * div * V0.dot(w) * u.dot(v),
+        9: lambda: fld.of(-1) * div() * V0.dot(w) * u.dot(v),
         10: lambda: V0.dot(v) * grad(w).dot(u),
         11: lambda: fld.of(-1) * V0.dot(v) * grad(u).dot(w),
-        12: lambda: div * V0.dot(v) * u.dot(w),
+        12: lambda: div() * V0.dot(v) * u.dot(w),
         13: lambda: fld.of(-1) * V0.dot(u) * grad(w).dot(v),
         14: lambda: V0.dot(u) * grad(v).dot(w),
-        15: lambda: fld.of(-1) * div * V0.dot(u) * v.dot(w),
+        15: lambda: fld.of(-1) * div() * V0.dot(u) * v.dot(w),
     }
     rhs = rhs_table[index]()
     if not fld.eq(lhs, rhs, 1e-9 if fld.kind == "float" else 0.0):

@@ -1,7 +1,8 @@
 """Byte-for-byte golden outputs of the command line: the exact reports of
 the README scenario and of generic m=3 and m=4 scenarios, the float
 reports of generic m=2 and m=3 scenarios, an exact and two float sweeps,
-and the case lines of two identity checks.
+and the case lines of all seven identity checks (those of 3.3 carry its
+printed gamma-matrix residuals).
 
 The files under ``tests/data/`` were written by the command line of
 earlier versions (the float sweep before the sweep shared the report's
@@ -56,7 +57,7 @@ def test_golden_float_sweep_m3(capsys):
     assert out == (DATA / "sweep_m3_trials1_seed2_float.txt").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", ["2.1", "2.5"])
+@pytest.mark.parametrize("name", ["2.1", "2.4", "2.5", "3.3", "3.4", "sphere", "gamma"])
 def test_golden_lemma(capsys, name):
     assert main(["lemma", "--name", name, "--seed", "1"]) == 0
     out = capsys.readouterr().out

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsionres.scalars import EXACT, FLOAT, GaussianRational, field_for_mode
+from torsionres.scalars import EXACT, FLOAT, GaussianRational, _as_fraction, field_for_mode
 
 
 def test_basic_arithmetic():
@@ -64,6 +64,31 @@ def test_fields():
     assert EXACT.of("2/3") == GaussianRational(Fraction(2, 3))
     assert FLOAT.of(Fraction(1, 4)) == 0.25
 
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        0, 1, -1, 2**80, -(2**80),
+        Fraction(-7, 3), Fraction(2**80 + 1, 3**40), Fraction(-(3**50), 2**70 - 1),
+        True, "3/4",
+    ],
+    ids=repr,
+)
+def test_exact_of_builds_the_normal_form(x):
+    got = EXACT.of(x)
+    expected = GaussianRational(_as_fraction(x))
+    assert type(got) is GaussianRational
+    assert (got._a, got._b, got._d) == (expected._a, expected._b, expected._d)
+    assert hash(got) == hash(expected)
+
+
+def test_exact_of_keeps_a_gaussian_rational_and_refuses_floats():
+    g = GaussianRational(Fraction(-2, 9), Fraction(5, 6))
+    assert EXACT.of(g) is g
+    with pytest.raises(TypeError):
+        EXACT.of(1.5)
+    with pytest.raises(TypeError):
+        EXACT.of(1j)
 
 def test_complex_conversion():
     a = GaussianRational(Fraction(1, 2), Fraction(-3, 4))

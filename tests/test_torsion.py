@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from torsionres import checks, geometry, reference, report, torsion
-from torsionres.clifford import CliffordElement, clifford_of_vector
+from torsionres.clifford import CliffordElement, FrameVector, clifford_of_vector, clifford_trace
 from torsionres.gamma import build_gamma_matrices, represent_element
 from torsionres.geometry import Scenario, VectorFieldJet, random_scenario
 from torsionres.reference import (
@@ -382,6 +382,108 @@ def test_contraction_index_range():
         lemma34_contraction(0, s)
     with pytest.raises(ValueError):
         lemma34_contraction(16, s)
+
+
+
+def _reference_lemma34_lhs(index, s):
+    """The left side of identity ``index`` as a plain loop over every
+    nonzero J[j][alpha], each pairing factor evaluated inside the loop."""
+    n, fld = s.n, s.field
+    pairing, sign = torsion._SIX_PAIRINGS[index - 1]
+    vecs = [s.V.value, s.u, s.v, s.w]
+
+    def pair_value(a, b, j, alpha):
+        if a < 4 and b < 4:
+            return vecs[a].dot(vecs[b])
+        if a < 4:
+            return vecs[a].components[j if b == 4 else alpha]
+        if b < 4:
+            return vecs[b].components[j if a == 4 else alpha]
+        return fld.one if j == alpha else fld.of(0)
+
+    lhs = fld.of(0)
+    for j in range(n):
+        for alpha in range(n):
+            jac = s.V.jacobian[j][alpha]
+            if not bool(jac):
+                continue
+            prod = fld.one if sign > 0 else fld.of(-1)
+            for (a, b) in pairing:
+                prod = prod * pair_value(a, b, j, alpha)
+            lhs = lhs + jac * prod
+    return lhs
+
+
+def _triple(x):
+    return (x._a, x._b, x._d)
+
+
+def test_contraction_identities_match_the_full_loop():
+    rng = random.Random(67)
+    scenarios = [random_scenario(2 + k % 3, "exact", rng) for k in range(42)]
+    # a Jacobian with a single off-diagonal entry: dV_3/dx_2 = -5/2
+    scenarios.append(
+        _scenario(2, (1, 2, 0, -1), {(1, 2): Fraction(-5, 2)}, (0, 0, 0, 0),
+                  (1, 1, 0, 2), (0, 3, 1, 0), (2, 0, -1, 1))
+    )
+    nonzero = 0
+    for s in scenarios:
+        for index in range(1, 16):
+            expected = _triple(_reference_lemma34_lhs(index, s))
+            lhs, rhs = lemma34_contraction(index, s)
+            assert _triple(lhs) == expected and _triple(rhs) == expected
+            nonzero += expected[:2] != (0, 0)
+    assert nonzero > 500
+
+
+@pytest.mark.parametrize("index", range(1, 16))
+def test_contraction_identity_with_a_flipped_pairing_sign_fails(monkeypatch, index):
+    s = random_scenario(3, "exact", random.Random(72))  # all fifteen values nonzero
+    assert bool(_reference_lemma34_lhs(index, s))
+    flipped = list(torsion._SIX_PAIRINGS)
+    pairing, sign = flipped[index - 1]
+    flipped[index - 1] = (pairing, -sign)
+    monkeypatch.setattr(torsion, "_SIX_PAIRINGS", tuple(flipped))
+    with pytest.raises(geometry.VerificationError):
+        lemma34_contraction(index, s)
+
+
+def _counting_dots(monkeypatch):
+    calls = []
+    dot = FrameVector.dot
+
+    def counted(self, other):
+        calls.append(1)
+        return dot(self, other)
+
+    monkeypatch.setattr(FrameVector, "dot", counted)
+    return calls
+
+
+def test_contraction_identity_pairs_fixed_slots_once(monkeypatch):
+    """The loop-invariant pairings leave the (j, alpha) sum: at most two
+    for the left side and two for the closed form, on a Jacobian with no
+    zero entry."""
+    s = random_scenario(3, "exact", random.Random(73))
+    jac = tuple(tuple(e if bool(e) else EXACT.of(1) for e in row) for row in s.V.jacobian)
+    s = replace(s, V=VectorFieldJet(s.V.value, jac))
+    calls = _counting_dots(monkeypatch)
+    for index in range(1, 16):
+        calls.clear()
+        lemma34_contraction(index, s)
+        assert len(calls) <= 4, index
+
+
+def test_trace_pairing_formula_pairs_each_two_vectors_once(monkeypatch):
+    rng = random.Random(79)
+    vectors = [exact_vector(*[rng.randint(1, 3) for _ in range(6)]) for _ in range(6)]
+    calls = _counting_dots(monkeypatch)
+    value = torsion.trace_pairing_formula(vectors, 3, EXACT)
+    assert len(calls) <= 15
+    product = clifford_of_vector(vectors[0])
+    for x in vectors[1:]:
+        product = product * clifford_of_vector(x)
+    assert value == clifford_trace(product, 3)
 
 
 # -- printed-variant characterization -------------------------------------------
