@@ -1,4 +1,4 @@
-"""Exact Clifford algebra over an orthonormal frame.
+"""Clifford algebra over an orthonormal frame.
 
 The generating relation is
 
@@ -9,25 +9,24 @@ generators in strictly increasing index order, encoded as bitmasks (bit k
 set means generator e_{k+1} participates).  Elements are sparse maps from
 blades to scalars; products are computed by sign-tracked transpositions.
 
-Exact products of Clifford elements, of jets and of symbols, and the
-alpha-sum of an exact symbol composition, share one integer kernel:
-``exact_accumulate`` and ``exact_reduce`` (``exact_bilinear`` is one of
-each).  ``exact_rows`` flattens each operand into keyed rows of
-Gaussian-integer numerators over one common denominator: a Clifford
-element is a single row, a jet has one row per x-monomial
-(``jets.Jet.__mul__``), a symbol one per (xi key, x-monomial)
-(``symbols.symbol_product`` and ``symbols.symbol_compose``).  Jet and
-symbol rows are grouped by x-degree, so that only row pairs within the jet
-cap are passed to the kernel (``jets.accumulate_within_cap``).  Row pairs
-are matched by the caller's key rule, the numerators landing on each
-(output key, blade) are summed as plain ints under the cached blade sign,
-and each nonzero sum is brought to normal form once: one gcd per output
-coefficient rather than one per coefficient pair and per merge of
-products on the same monomial.  A composition feeds the row pairs of all
-its alpha terms into one accumulator before that reduction.  Float
-operands go through the scalar operations in per-pair loops, and float
-compositions in one symbol product per alpha; mixed exact/float operands
-take the float loops, which raise ``TypeError``.
+Products of Clifford elements, of jets and of symbols, and the alpha-sum
+of a symbol composition, share one kernel: ``accumulate`` and ``reduce``.
+``rows`` flattens each operand into keyed rows of numerators over one
+common denominator: a Clifford element is a single row, a jet has one row
+per x-monomial (``jets.Jet.__mul__``), a symbol one per (xi key,
+x-monomial) (``symbols.symbol_product`` and ``symbols.symbol_compose``).
+Exact rows hold Gaussian-integer numerators, float rows the real and
+imaginary parts of ``complex`` coefficients over 1.0; ``operand_rows``
+refuses an exact operand with a float one, and ``rows`` an operand that
+mixes both, with ``TypeError``.  Jet and symbol rows are grouped by
+x-degree, so that only row pairs within the jet cap are passed to the
+kernel (``jets.accumulate_within_cap``).  Row pairs are matched by the
+caller's key rule, the numerators landing on each (output key, blade) are
+summed under the cached blade sign, and each nonzero sum is reduced once:
+for exact rows one gcd per output coefficient rather than one per
+coefficient pair and per merge of products on the same monomial.  A
+composition feeds the row pairs of all its alpha terms into one
+accumulator before that reduction.
 
 The fiberwise trace is the spinor-space trace: on a 2m-dimensional frame
 the identity traces to 2^m and every non-empty blade traces to zero.
@@ -223,19 +222,21 @@ def clifford_of_vector(v: FrameVector) -> CliffordElement:
     return CliffordElement(v.dim, terms)
 
 
-def exact_rows(items):
+def rows(items):
     """``([(key, [(mask, a, b), ...]), ...], d)``: each ``(key, element)`` of
-    the sequence ``items`` as one row, with every coefficient equal to ``(a + b i)/d``.
+    the sequence ``items`` as one row, with every coefficient equal to
+    ``(a + b i)/d``.
 
-    ``d`` is the least common denominator of all coefficients of all the
-    elements.  Returns ``None`` unless every coefficient is a
-    ``GaussianRational``.
+    Exact rows hold Gaussian-integer numerators over the least common
+    denominator ``d`` of all coefficients of all the elements.  When the
+    first coefficient met is not a ``GaussianRational``, the rows are float
+    rows (``_float_rows``).  A mix of both kinds raises ``TypeError``.
     """
     d = 1
     for _, elem in items:
         for c in elem.terms.values():
             if type(c) is not GaussianRational:
-                return None
+                return _float_rows(items)
             if c._d != d:
                 d = lcm(d, c._d)
     return [
@@ -247,16 +248,45 @@ def exact_rows(items):
     ], d
 
 
-def exact_accumulate(acc: Dict[object, Dict[int, list]], xs, ys, combine) -> None:
+def _float_rows(items):
+    """``rows`` of elements whose every coefficient is a ``complex``: the
+    real and imaginary parts over the float denominator ``1.0``, whose type
+    marks the rows as float."""
+    out = []
+    for key, elem in items:
+        row = []
+        for m, c in elem.terms.items():
+            if type(c) is not complex:
+                raise TypeError(
+                    "exact/float mode mixing: float rows take complex "
+                    f"coefficients, not {type(c).__name__}"
+                )
+            row.append((m, c.real, c.imag))
+        out.append((key, row))
+    return out, 1.0
+
+
+def operand_rows(left, right):
+    """``(xs, ys, d)``: the ``rows`` of two operands and the denominator of
+    their products; ``TypeError`` unless both are exact or both are float."""
+    xs, da = rows(left)
+    ys, db = rows(right)
+    if type(da) is not type(db):
+        raise TypeError("exact/float mode mixing: an exact operand times a float one")
+    return xs, ys, da * db
+
+
+def accumulate(acc: Dict[object, Dict[int, list]], xs, ys, combine) -> None:
     """Add the products of the rows ``xs`` with the rows ``ys`` (the row
-    lists of two ``exact_rows`` results) to ``acc``.
+    lists of two ``rows`` results) to ``acc``.
 
     ``combine(key_a, key_b)`` names the output key of a row pair, or returns
     ``None`` to skip the pair.  Row elements multiply left times right.  The
-    Gaussian-integer numerators landing on one (output key, blade) are
-    summed into ``acc[key][blade] = [re, im]`` as plain ints under the blade
-    sign.  Several row pairs, or several calls, may feed one accumulator as
-    long as all left rows share one denominator and all right rows another.
+    numerators landing on one (output key, blade) are summed into
+    ``acc[key][blade] = [re, im]`` under the blade sign: as plain ints for
+    exact rows, as floats in pair order for float rows.  Several row pairs,
+    or several calls, may feed one accumulator as long as all left rows
+    share one denominator and all right rows another.
     """
     sign = blade_product_sign
     for ka, ra in xs:
@@ -283,26 +313,21 @@ def exact_accumulate(acc: Dict[object, Dict[int, list]], xs, ys, combine) -> Non
                         s[1] += i
 
 
-def exact_reduce(dim: int, acc: Dict[object, Dict[int, list]], d: int) -> Dict[object, CliffordElement]:
-    """The elements of an ``exact_accumulate`` accumulator over the
-    denominator ``d``: each nonzero sum is brought to normal form once, and
-    keys whose every blade cancels are left out."""
+def reduce(dim: int, acc: Dict[object, Dict[int, list]], d) -> Dict[object, CliffordElement]:
+    """The elements of an ``accumulate`` accumulator over the denominator
+    ``d``, leaving out keys whose every blade cancels.  Over an int ``d``
+    each nonzero sum is brought to normal form once; over a float ``d`` it
+    becomes ``complex(r/d, i/d)``."""
     result: Dict[object, CliffordElement] = {}
+    exact = type(d) is int
     for key, out in acc.items():
-        terms = {m: _reduced(r, i, d) for m, (r, i) in out.items() if r or i}
+        if exact:
+            terms = {m: _reduced(r, i, d) for m, (r, i) in out.items() if r or i}
+        else:
+            terms = {m: complex(r / d, i / d) for m, (r, i) in out.items() if r or i}
         if terms:
             result[key] = CliffordElement._trusted(dim, terms)
     return result
-
-
-def exact_bilinear(dim: int, left, right, combine) -> Dict[object, CliffordElement]:
-    """The products of the rows of ``left`` with the rows of ``right``, both
-    given by ``exact_rows``, summed per output key (``exact_accumulate``)
-    and reduced over the product of the two denominators."""
-    (xs, da), (ys, db) = left, right
-    acc: Dict[object, Dict[int, list]] = {}
-    exact_accumulate(acc, xs, ys, combine)
-    return exact_reduce(dim, acc, da * db)
 
 
 def _single_row(ka, kb):
@@ -313,23 +338,13 @@ def _single_row(ka, kb):
 def clifford_product(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     """Bilinear product under the relation c(e_i)c(e_j)+c(e_j)c(e_i) = -2 delta_ij."""
     a._check(b)
-    na = exact_rows(((0, a),))
-    nb = exact_rows(((0, b),)) if na is not None else None
-    if nb is not None:
-        product = exact_bilinear(a.dim, na, nb, _single_row).get(0)
-        return CliffordElement.zero(a.dim) if product is None else product
-    out: Dict[int, object] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            coeff = ca * cb
-            m = ma ^ mb
-            s = out.get(m)
-            # fold the blade sign into the accumulation
-            if blade_product_sign(ma, mb) < 0:
-                out[m] = -coeff if s is None else s - coeff
-            else:
-                out[m] = coeff if s is None else s + coeff
-    return CliffordElement(a.dim, out)
+    if not a.terms or not b.terms:
+        return CliffordElement.zero(a.dim)
+    xs, ys, d = operand_rows(((0, a),), ((0, b),))
+    acc: Dict[object, Dict[int, list]] = {}
+    accumulate(acc, xs, ys, _single_row)
+    product = reduce(a.dim, acc, d).get(0)
+    return CliffordElement.zero(a.dim) if product is None else product
 
 
 def clifford_product_seq(factors: Sequence[CliffordElement]) -> CliffordElement:

@@ -5,12 +5,13 @@ A jet is a polynomial in x_1..x_n of total degree at most ``max_degree``
 scalar-valued jets are simply multiples of the empty blade.  Products
 truncate beyond the degree cap, and coefficient multiplication goes
 through the (noncommutative) Clifford product, so jet factors are never
-reordered.  An exact product runs in the integer kernel of ``clifford``
-with one row per monomial: the numerators of all Clifford products that
-land on one output monomial are summed before a single reduction per
-blade.  Rows go in order of x-degree, and only pairs whose x-degrees add
-up to at most the cap reach the kernel (``accumulate_within_cap``, shared
-with the exact symbol products of ``symbols``).
+reordered.  A product, exact or float, runs in the row kernel of
+``clifford`` with one row per monomial: the numerators of all Clifford
+products that land on one output monomial are summed before a single
+reduction per blade.  Rows go in order of x-degree, and only pairs whose
+x-degrees add up to at most the cap reach the kernel
+(``accumulate_within_cap``, shared with the symbol products of
+``symbols``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from operator import add
 from typing import Dict, Tuple
 
-from .clifford import CliffordElement, exact_accumulate, exact_reduce, exact_rows
+from .clifford import CliffordElement, accumulate, operand_rows, reduce
 
 Monomial = Tuple[int, ...]
 
@@ -36,7 +37,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def accumulate_within_cap(acc, xs, ys, cap: int, combine) -> None:
-    """``exact_accumulate`` on the pairs of rows of ``xs`` and ``ys`` whose
+    """``accumulate`` on the pairs of rows of ``xs`` and ``ys`` whose
     x-degrees add up to at most ``cap``.
 
     Both row lists are in order of x-degree, the last entry of each row key.
@@ -45,7 +46,7 @@ def accumulate_within_cap(acc, xs, ys, cap: int, combine) -> None:
     stays within the cap.
     """
     if xs[-1][0][-1] + ys[-1][0][-1] <= cap:
-        exact_accumulate(acc, xs, ys, combine)
+        accumulate(acc, xs, ys, combine)
         return
     x_sizes, y_sizes = [0] * (cap + 1), [0] * (cap + 1)
     for key, _ in xs:
@@ -56,18 +57,18 @@ def accumulate_within_cap(acc, xs, ys, cap: int, combine) -> None:
     for degree, size in enumerate(x_sizes):
         within = sum(y_sizes[:cap - degree + 1])
         if size and within:
-            exact_accumulate(acc, xs[start:start + size], ys[:within], combine)
+            accumulate(acc, xs[start:start + size], ys[:within], combine)
         start += size
 
 
-def _jet_rows(jet: "Jet"):
-    """``exact_rows`` of a jet, one row per monomial, keyed by
-    ``(monomial, degree)`` and in order of degree."""
+def _jet_items(jet: "Jet"):
+    """The ``(key, element)`` items of a jet's rows, one per monomial, keyed
+    by ``(monomial, degree)`` and in order of degree."""
     by_degree = [[] for _ in range(jet.max_degree + 1)]
     for mono, elem in jet.terms.items():
         degree = _mono_degree(mono)
         by_degree[degree].append(((mono, degree), elem))
-    return exact_rows([row for rows in by_degree for row in rows])
+    return [item for items in by_degree for item in items]
 
 
 def _jet_pair_key(ka, kb) -> Monomial:
@@ -149,26 +150,10 @@ class Jet:
         cap = self.max_degree
         if not self.terms or not other.terms:
             return Jet(self.nvars, cap)
-        left = _jet_rows(self)
-        right = _jet_rows(other) if left is not None else None
-        if right is not None:
-            (xs, da), (ys, db) = left, right
-            acc: Dict = {}
-            accumulate_within_cap(acc, xs, ys, cap, _jet_pair_key)
-            return Jet._trusted(
-                self.nvars, cap, exact_reduce(coefficient_dim(self, other), acc, da * db)
-            )
-        out: Dict[Monomial, CliffordElement] = {}
-        for ma, ca in self.terms.items():
-            da = _mono_degree(ma)
-            for mb, cb in other.terms.items():
-                if da + _mono_degree(mb) > cap:
-                    continue
-                m = _mono_mul(ma, mb)
-                c = ca * cb
-                s = out.get(m)
-                out[m] = c if s is None else s + c
-        return Jet(self.nvars, self.max_degree, out)
+        xs, ys, d = operand_rows(_jet_items(self), _jet_items(other))
+        acc: Dict = {}
+        accumulate_within_cap(acc, xs, ys, cap, _jet_pair_key)
+        return Jet._trusted(self.nvars, cap, reduce(coefficient_dim(self, other), acc, d))
 
     def scale(self, s) -> "Jet":
         return Jet(self.nvars, self.max_degree, {m: c.scale(s) for m, c in self.terms.items()})

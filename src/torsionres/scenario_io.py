@@ -12,14 +12,16 @@ Scenario files are JSON documents:
       "u": ["0","1","0","0"],
       "v": ["0","1","0","0"],
       "w": ["0","1","0","0"],
-      "perturb": {"term": "l4", "delta": "1/7"}                // optional
+      "perturb": {"term": "l4", "delta": "1/7"},               // optional
+      "seed": 7                                                // optional
     }
 
 ``jacobian[j][a]`` is the derivative of V_a along x_j (rows are
 directions).  Exact mode takes rational literals "p/q"; float mode takes
 plain numbers.  The optional ``perturb`` block is the negative-control
 hook: it shifts one term's reference closed form before the gating
-comparison.
+comparison.  The optional ``seed`` is an integer or null, echoed into the
+report.
 
 Validation errors carry the path of the offending field and are raised
 as ``ScenarioError`` (the CLI maps them to exit code 2).
@@ -135,6 +137,10 @@ def parse_scenario(doc: Dict) -> Tuple[Scenario, Optional[Tuple[str, Fraction]]]
         name: _parse_vector(doc.get(name), n, mode, name) for name in ("X", "u", "v", "w")
     }
 
+    seed = doc.get("seed")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise ScenarioError(f"seed: must be an integer or null, got {seed!r}")
+
     perturb = None
     if "perturb" in doc and doc["perturb"] is not None:
         p = doc["perturb"]
@@ -159,7 +165,7 @@ def parse_scenario(doc: Dict) -> Tuple[Scenario, Optional[Tuple[str, Fraction]]]
             u=vectors["u"],
             v=vectors["v"],
             w=vectors["w"],
-            seed=doc.get("seed"),
+            seed=seed,
         )
     except ValueError as exc:
         raise ScenarioError(str(exc))
@@ -178,6 +184,10 @@ def load_scenario(path: str) -> Tuple[Scenario, Optional[Tuple[str, Fraction]]]:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ScenarioError(f"{path}: file not found")
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read ({exc.strerror or exc})")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON ({exc})")
     return parse_scenario(doc)

@@ -15,16 +15,15 @@ the two-term inversion of a second-order symbol, and the powers of q_{-2}
 with their power-cross sum (``power_expansion``), from which the term
 route builds the negative powers.
 
-An exact ``symbol_product`` does not multiply jets pair by pair: both
-symbols are flattened into one row per (xi key, x-monomial), grouped by
-x-degree, and go through the integer kernel of ``clifford``, which reduces
+A ``symbol_product``, exact or float, does not multiply jets pair by pair:
+both symbols are flattened into one row per (xi key, x-monomial), grouped
+by x-degree, and go through the row kernel of ``clifford``, which reduces
 each output coefficient once.  Only row pairs whose x-degrees add up to at
 most the jet cap reach the kernel (``jets.accumulate_within_cap``), and the
-key rule skips the pairs below ``lowest_degree``.  An exact ``symbol_compose``
+key rule skips the pairs below ``lowest_degree``.  A ``symbol_compose``
 flattens its operands once, takes the xi- and x-derivatives of every alpha
 on the rows, which keeps them grouped, and sums all alpha terms in one
-kernel accumulator.  Float symbols keep the per-pair loop through
-``Jet.__mul__``, and float compositions one symbol product per alpha.
+kernel accumulator.
 
 Equality of symbols is decided exactly: the representation by monomials
 and norm powers is not unique (sum_i xi_i^2 = |xi|^2), so a difference is
@@ -38,7 +37,7 @@ import itertools
 import math
 from typing import Dict, Iterable, List, Tuple
 
-from .clifford import CliffordElement, exact_reduce, exact_rows
+from .clifford import CliffordElement, operand_rows, reduce
 from .jets import Jet, _mono_mul, accumulate_within_cap, coefficient_dim, invert_scalar_jet
 
 XiMono = Tuple[int, ...]
@@ -198,17 +197,18 @@ class Symbol:
         )
 
 
-def _exact_symbol_rows(s: Symbol):
-    """``exact_rows`` of a symbol, one row per (xi key, x-monomial), keyed by
-    ``(xi exponents, norm power, xi-degree, x-monomial, x-degree)`` and in
-    order of x-degree, as ``accumulate_within_cap`` takes them."""
+def _symbol_items(s: Symbol):
+    """The ``(key, element)`` items of a symbol's rows, one per (xi key,
+    x-monomial), keyed by ``(xi exponents, norm power, xi-degree,
+    x-monomial, x-degree)`` and in order of x-degree, as
+    ``accumulate_within_cap`` takes them."""
     by_degree = [[] for _ in range(s.max_degree + 1)]
     for (mono, k), jet in s.terms.items():
         deg = sum(mono) + 2 * k
         for xmono, elem in jet.terms.items():
             xdeg = sum(xmono)
             by_degree[xdeg].append(((mono, k, deg, xmono, xdeg), elem))
-    return exact_rows([row for rows in by_degree for row in rows])
+    return [item for items in by_degree for item in items]
 
 
 def _row_times(row, c: int, quarters: int = 0):
@@ -290,26 +290,10 @@ def symbol_product(a: Symbol, b: Symbol, lowest_degree: int | None = None) -> Sy
     a._check(b)
     if not a.terms or not b.terms:
         return Symbol.zero(a.nvars, a.max_degree, a.field)
-    left = _exact_symbol_rows(a)
-    right = _exact_symbol_rows(b) if left is not None else None
-    if right is not None:
-        (xs, da), (ys, db) = left, right
-        acc: Dict = {}
-        accumulate_within_cap(acc, xs, ys, a.max_degree, _row_pair_rule(lowest_degree))
-        return _symbol_of_elements(a, exact_reduce(_first_dim(a, b), acc, da * db))
-    out: Dict[TermKey, Jet] = {}
-    for (ma, ka), ja in a.terms.items():
-        da = sum(ma) + 2 * ka
-        for (mb, kb), jb in b.terms.items():
-            if lowest_degree is not None and da + sum(mb) + 2 * kb < lowest_degree:
-                continue
-            key = (tuple(x + y for x, y in zip(ma, mb)), ka + kb)
-            jet = ja * jb
-            if jet.is_zero():
-                continue
-            s = out.get(key)
-            out[key] = jet if s is None else s + jet
-    return Symbol(a.nvars, a.max_degree, a.field, out)
+    xs, ys, d = operand_rows(_symbol_items(a), _symbol_items(b))
+    acc: Dict = {}
+    accumulate_within_cap(acc, xs, ys, a.max_degree, _row_pair_rule(lowest_degree))
+    return _symbol_of_elements(a, reduce(_first_dim(a, b), acc, d))
 
 
 def _alpha_iter(nvars: int, order: int) -> Iterable[Tuple[Tuple[int, ...], int]]:
@@ -342,11 +326,10 @@ def symbol_compose(
     which is exact because the constant term of a jet product is the
     product of the constant terms.
 
-    Exact operands are flattened into integer rows once; the derivatives
-    act on the rows, (-i)^{|alpha|} L/alpha! (L the lcm of the alpha! that
-    run) is folded into the left numerators, and the products of every
-    alpha are summed in one kernel accumulator, reduced once over
-    d_p d_q L.  Float operands keep the per-alpha loop of symbol products.
+    The operands are flattened into rows once; the derivatives act on the
+    rows, (-i)^{|alpha|} L/alpha! (L the lcm of the alpha! that run) is
+    folded into the left numerators, and the products of every alpha are
+    summed in one kernel accumulator, reduced once over d_p d_q L.
     """
     p._check(q)
     if at_origin:
@@ -367,16 +350,7 @@ def symbol_compose(
         for order in range(cap + 1)
         for mus, fact in _alpha_iter(p.nvars, order)
     ]
-    left = _exact_symbol_rows(p)
-    right = _exact_symbol_rows(q) if left is not None else None
-    if right is not None:
-        return _exact_alpha_sum(p, q, left, right, alphas, lowest_degree, at_origin)
-    return _alpha_sum(p, q, alphas, lowest_degree, at_origin)
-
-
-def _exact_alpha_sum(p, q, left, right, alphas, lowest_degree, at_origin) -> Symbol:
-    """The alpha-sum of ``symbol_compose`` in one kernel accumulator."""
-    (p_rows, d_p), (q_rows, d_q) = left, right
+    p_rows, q_rows, d = operand_rows(_symbol_items(p), _symbol_items(q))
     scale = math.lcm(*(fact for _, _, fact in alphas))
     combine = _row_pair_rule(lowest_degree)
     acc: Dict = {}
@@ -396,36 +370,7 @@ def _exact_alpha_sum(p, q, left, right, alphas, lowest_degree, at_origin) -> Sym
         c = scale // fact
         dp = [(key, _row_times(row, c, order)) for key, row in dp]
         accumulate_within_cap(acc, dp, dq, p.max_degree, combine)
-    return _symbol_of_elements(p, exact_reduce(_first_dim(p, q), acc, d_p * d_q * scale))
-
-
-def _alpha_sum(p, q, alphas, lowest_degree, at_origin) -> Symbol:
-    """The alpha-sum of ``symbol_compose``, one symbol product per alpha."""
-    total = Symbol.zero(p.nvars, p.max_degree, p.field)
-    minus_i = p.field.of(0) - p.field.i
-    for order, mus, fact in alphas:
-        dq = q
-        for mu in mus:
-            dq = dq.partial_x(mu)
-        if at_origin:
-            dq = dq.evaluate_jets_at_origin()
-        if not dq.terms:
-            continue
-        dp = p
-        for mu in mus:
-            dp = dp.partial_xi(mu)
-        if not dp.terms:
-            continue
-        piece = symbol_product(dp, dq, lowest_degree)
-        if not piece.terms:
-            continue
-        coeff = p.field.one
-        for _ in range(order):
-            coeff = coeff * minus_i
-        if fact != 1:
-            coeff = coeff / p.field.of(fact)
-        total = total + piece.scale(coeff)
-    return total
+    return _symbol_of_elements(p, reduce(_first_dim(p, q), acc, d * scale))
 
 
 def norm_squared_symbol(nvars: int, max_degree: int, field, dim: int, power: int = 1) -> Symbol:
@@ -472,14 +417,12 @@ def symbol_invert_order2(p: Symbol, dim: int) -> Tuple[Symbol, Symbol]:
             raise ValueError(f"unsupported degree-2 term shape {(mono, k)}")
 
     # split a common scalar lambda * delta_jk off the quadratic monomials;
-    # in float mode allow rounding residue relative to the leading scale
+    # in float mode allow rounding residue of 1e-9 times the largest
+    # base-point coefficient of the leading form, the only values compared
     float_mode = field.kind == "float"
-    scale = 1.0
+    tol = 0.0
     if float_mode:
-        for jet in list(quad.values()) + [base_jet]:
-            for coeff in jet.terms.values():
-                scale = max(scale, coeff.max_abs())
-    tol = 1e-9 * scale if float_mode else 0.0
+        tol = 1e-9 * max(jet.value_at_origin(dim).max_abs() for jet in [*quad.values(), base_jet])
     lam = None
     for j in range(nvars):
         mono = tuple(2 if i == j else 0 for i in range(nvars))
@@ -488,13 +431,13 @@ def symbol_invert_order2(p: Symbol, dim: int) -> Tuple[Symbol, Symbol]:
         c0 = field.of(0) if c0 is None else c0
         if lam is None:
             lam = c0
-        elif not field.eq(lam, c0, tol):
+        elif lam != c0 and not (float_mode and abs(lam - c0) <= tol):
             raise ValueError("leading quadratic form is not scalar at the base point")
     for mono, jet in quad.items():
         if max(mono) == 2:
             continue
         mixed0 = jet.value_at_origin(dim)
-        if not mixed0.is_zero() and mixed0.max_abs() > tol:
+        if not mixed0.is_zero() and not (float_mode and mixed0.max_abs() <= tol):
             raise ValueError(
                 "leading quadratic form has a mixed xi_j xi_k term at the base point"
             )

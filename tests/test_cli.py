@@ -113,6 +113,37 @@ def test_curvature_key_rejected(tmp_path, capsys):
     assert "curvature" in captured.err and captured.out == ""
 
 
+def _assert_usage_error(argv, capsys):
+    """Exit 2 with one ``error:`` line and nothing on stdout."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: [^\n]*\n", captured.err), captured.err
+
+
+def test_cli_unreadable_scenario_is_a_usage_error(tmp_path, capsys):
+    """A directory, and a file that is not UTF-8, are usage errors."""
+    _assert_usage_error(["run", "--scenario", str(tmp_path)], capsys)
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(DERIVED).replace("0", "\xe9", 1).encode("latin-1"))
+    _assert_usage_error(["run", "--scenario", str(path)], capsys)
+
+
+@pytest.mark.parametrize("seed", ["abc", True, 1.5, [1], {"a": 1}])
+def test_cli_bad_seed_is_a_usage_error(tmp_path, capsys, seed):
+    doc = dict(DERIVED, seed=seed)
+    with pytest.raises(ScenarioError, match="seed"):
+        parse_scenario(doc)
+    _assert_usage_error(["run", "--scenario", write_scenario(tmp_path, doc)], capsys)
+
+
+@pytest.mark.parametrize("seed", [7, -3, None])
+def test_seed_is_an_integer_or_null(seed):
+    scenario, _ = parse_scenario(dict(DERIVED, seed=seed))
+    assert scenario.seed == seed
+    assert build_report(scenario)["scenario"].get("seed") == seed
+
+
 # -- reports ---------------------------------------------------------------------
 
 

@@ -3,8 +3,9 @@
 ``Jet.__mul__`` and ``symbol_product`` sum Gaussian-integer numerators
 per (output key, blade) in the kernel shared with ``clifford_product``.
 The references below take one ``GaussianRational`` product and one sum
-per coefficient pair and drop zeros only at the end; float products are
-compared bit for bit with the per-pair loops that the exact path replaced.
+per coefficient pair and drop zeros only at the end.  Float operands go
+through the same kernel; their products are compared with the exact
+product of the same dyadic values, within a rounding bound.
 An exact ``symbol_compose`` sums every alpha term in one kernel
 accumulator; its reference is the per-alpha loop of symbol operations,
 taken over ordered derivative sequences with weight 1/|alpha|!.
@@ -52,18 +53,21 @@ def _reference_elements(pairs):
     return {key: acc for key, acc in pruned.items() if acc}
 
 
-def _reference_jet_product(a, b):
-    cap = a.max_degree
-    return _reference_elements(
+def _jet_pairs(a, b):
+    """``(product monomial, a coefficient, b coefficient)`` for every pair
+    of monomials within the jet cap."""
+    return (
         (_mono_add(ma, mb), ca, cb)
         for ma, ca in a.terms.items()
         for mb, cb in b.terms.items()
-        if sum(ma) + sum(mb) <= cap
+        if sum(ma) + sum(mb) <= a.max_degree
     )
 
 
-def _reference_symbol_product(a, b, lowest_degree):
-    flat = _reference_elements(
+def _symbol_pairs(a, b, lowest_degree):
+    """``((xi key, x-monomial), a coefficient, b coefficient)`` for every
+    pair of (xi key, x-monomial) rows that a symbol product keeps."""
+    return (
         (((_mono_add(ma, mb), ka + kb), _mono_add(xa, xb)), ca, cb)
         for (ma, ka), ja in a.terms.items()
         for (mb, kb), jb in b.terms.items()
@@ -72,6 +76,14 @@ def _reference_symbol_product(a, b, lowest_degree):
         for xb, cb in jb.terms.items()
         if sum(xa) + sum(xb) <= a.max_degree
     )
+
+
+def _reference_jet_product(a, b):
+    return _reference_elements(_jet_pairs(a, b))
+
+
+def _reference_symbol_product(a, b, lowest_degree):
+    flat = _reference_elements(_symbol_pairs(a, b, lowest_degree))
     out = {}
     for (key, xmono), terms in flat.items():
         out.setdefault(key, {})[xmono] = terms
@@ -423,49 +435,55 @@ def _float_jet(nvars, cap, dim, rng):
     return Jet(nvars, cap, terms)
 
 
-def _old_jet_product(a, b):
-    """The per-pair jet loop: one Clifford product and one Clifford sum per
-    monomial pair."""
-    out = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            if sum(ma) + sum(mb) > a.max_degree:
-                continue
-            m = _mono_add(ma, mb)
-            c = ca * cb
-            out[m] = c if m not in out else out[m] + c
-    return Jet(a.nvars, a.max_degree, out)
+def _dyadic(c):
+    """The exact value of a float coefficient."""
+    return EXACT.complex_of(Fraction(c.real), Fraction(c.imag))
 
 
-def _old_symbol_product(a, b):
-    out = {}
-    for (ma, ka), ja in a.terms.items():
-        for (mb, kb), jb in b.terms.items():
-            key = (_mono_add(ma, mb), ka + kb)
-            jet = _old_jet_product(ja, jb)
-            if jet.is_zero():
-                continue
-            out[key] = jet if key not in out else out[key] + jet
-    return Symbol(a.nvars, a.max_degree, a.field, out)
+def _assert_within_rounding(got, pairs):
+    """Each coefficient of ``got`` (``{key: {blade: complex}}``) lies within
+    ``k 2^-53 sum |a||b|`` of the exact sum of the products of the dyadic
+    values of its ``k/4`` coefficient pairs ``(key, a, b)``.
 
-
-def _bits(terms):
-    return [
-        (key, [(mono, [(m, c.real.hex(), c.imag.hex()) for m, c in elem.terms.items()])
-               for mono, elem in jet.terms.items()])
-        for key, jet in terms.items()
-    ]
+    A real or imaginary part sums 2n real products of the n pairs, so its
+    rounding error is at most gamma_2n sum |a||b|; k = 4n covers both parts
+    with room to spare.
+    """
+    ref = {}
+    for key, a, b in pairs:
+        acc = ref.setdefault(key, {})
+        for ma, ca in a.terms.items():
+            for mb, cb in b.terms.items():
+                term = _dyadic(ca) * _dyadic(cb)
+                m = ma ^ mb
+                s, mag, n = acc.get(m, (EXACT.zero, 0.0, 0))
+                s = s + term if blade_product_sign(ma, mb) > 0 else s - term
+                acc[m] = (s, mag + abs(ca) * abs(cb), n + 1)
+    checked = 0
+    for key in set(ref) | set(got):
+        terms, parts = got.get(key, {}), ref.get(key, {})
+        for blade in set(terms) | set(parts):
+            exact, mag, n = parts.get(blade, (EXACT.zero, 0.0, 0))
+            error = abs(complex(_dyadic(terms.get(blade, 0j)) - exact))
+            assert error <= 4 * n * 2.0**-53 * mag, (key, blade, error, n, mag)
+            checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_float_products_are_bit_identical_to_the_per_pair_loops(seed):
+def test_float_products_are_within_rounding_of_the_exact_dyadic_product(seed):
     rng = random.Random(seed)
     cap = 1 + seed % 2
     a, b = _float_jet(2, cap, 4, rng), _float_jet(2, cap, 4, rng)
-    assert _bits({0: a * b}) == _bits({0: _old_jet_product(a, b)})
-    sa = Symbol(2, cap, FLOAT, {((1, 0), 0): a, ((0, 0), -1): b})
-    sb = Symbol(2, cap, FLOAT, {((0, 1), -1): b, ((1, 0), 0): a})
-    assert _bits(symbol_product(sa, sb).terms) == _bits(_old_symbol_product(sa, sb).terms)
+    _assert_within_rounding(_jet_terms(a * b), _jet_pairs(a, b))
+    sa = Symbol(2, cap, FLOAT, {((1, 0), 0): a, ((0, 0), 0): b, ((0, 1), 0): b})
+    sb = Symbol(2, cap, FLOAT, {((0, 1), -1): b, ((1, 0), 0): a, ((0, 0), 0): a})
+    got = {
+        (key, xmono): elem.terms
+        for key, jet in symbol_product(sa, sb).terms.items()
+        for xmono, elem in jet.terms.items()
+    }
+    _assert_within_rounding(got, _symbol_pairs(sa, sb, None))
 
 
 def test_exact_times_float_is_a_mode_error():
@@ -479,3 +497,18 @@ def test_exact_times_float_is_a_mode_error():
         key = ((0, 0), 0)
         with pytest.raises(TypeError):
             symbol_product(Symbol(2, 1, EXACT, {key: a}), Symbol(2, 1, EXACT, {key: b}))
+
+
+def test_float_operand_with_a_non_complex_coefficient_is_a_mode_error():
+    """Float rows take ``complex`` coefficients only: a float operand that
+    holds an exact coefficient after its complex ones, or a plain int, is
+    refused on either side of a product and of a composition."""
+    zero, key = (0, 0), ((0, 0), 0)
+    flt = Jet(2, 1, {zero: CliffordElement(2, {0b01: FLOAT.of(0.5)})})
+    for stray in (EXACT.one, 1):
+        mixed = Jet(2, 1, {zero: CliffordElement(2, {0b10: FLOAT.one, 0b01: stray})})
+        for a, b in ((flt, mixed), (mixed, flt)):
+            with pytest.raises(TypeError):
+                a * b
+            with pytest.raises(TypeError):
+                symbol_compose(Symbol(2, 1, FLOAT, {key: a}), Symbol(2, 1, FLOAT, {key: b}), 0)

@@ -13,7 +13,7 @@ from torsionres.geometry import (
     rescaled_dirac_symbols,
 )
 from torsionres.jets import Jet
-from torsionres.scalars import EXACT
+from torsionres.scalars import EXACT, FLOAT
 from torsionres.symbols import (
     Symbol,
     norm_squared_symbol,
@@ -110,6 +110,31 @@ def test_invert_rejects_bad_leading():
     }
     with pytest.raises(ValueError):
         symbol_invert_order2(sym(terms), N)
+
+
+def _float_form(diagonal, mixed=0.0):
+    """A float symbol with diagonal coefficients ``diagonal[j]`` on xi_j^2
+    and ``mixed`` on xi_1 xi_2, constant in x."""
+    def const(c):
+        return Jet.constant(N, 1, CliffordElement.scalar(N, FLOAT.of(c)))
+
+    terms = {tuple(2 * (i == j) for i in range(N)): const(c) for j, c in enumerate(diagonal)}
+    if mixed:
+        terms[mono(1, 1, 0, 0)] = const(mixed)
+    return Symbol(N, 1, FLOAT, {(key, 0): jet for key, jet in terms.items()})
+
+
+@pytest.mark.parametrize("a", [1e-12, 1.0, 1e12])
+def test_float_invert_judges_the_leading_form_at_its_own_scale(a):
+    """The float tolerance is 1e-9 of the leading coefficients: a form off
+    by 1e-4 relative, on its diagonal or in a mixed term, is refused at
+    every scale, and rounding residue of 1e-15 relative is accepted."""
+    with pytest.raises(ValueError):
+        symbol_invert_order2(_float_form([a, a, a, a * (1 + 1e-4)]), N)
+    with pytest.raises(ValueError):
+        symbol_invert_order2(_float_form([a] * 4, mixed=1e-4 * a), N)
+    q2, _ = symbol_invert_order2(_float_form([a, a, a * (1 + 1e-15), a], mixed=1e-15 * a), N)
+    assert abs(complex(q2.terms[((0,) * N, -1)].value_at_origin(N).coefficient(0)) * a - 1) < 1e-12
 
 
 def inverse_power_symbols(q2: Symbol, q3: Symbol, m: int):

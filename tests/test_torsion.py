@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from torsionres.reference import (
     theorem_density,
 )
 from torsionres.scalars import EXACT
+from torsionres.scenario_io import load_scenario
 from torsionres.torsion import (
     TERM_NAMES,
     assemble_density,
@@ -522,3 +524,57 @@ def test_printed_group_values(derived_scenario):
     total = groups["h1"] + groups["h2"] + groups["h3"]
     assert total.value == EXACT.of(3)
     assert theorem_density(derived_scenario).value == EXACT.of(1)
+
+
+# -- float against exact on the same inputs ------------------------------------
+
+
+def _float_scaled(s, lam):
+    """The float scenario ``s`` with V (value and Jacobian) multiplied by the
+    float ``lam``."""
+    jac = tuple(tuple(lam * c for c in row) for row in s.V.jacobian)
+    return replace(s, V=VectorFieldJet(s.V.value.scale(lam), jac))
+
+
+def _dyadic_scenario(s):
+    """The float scenario ``s`` run exactly on the values of its floats."""
+
+    def exact(c):
+        return EXACT.complex_of(Fraction(c.real), Fraction(c.imag))
+
+    def vec(v):
+        return FrameVector(v.dim, tuple(exact(c) for c in v.components))
+
+    jac = tuple(tuple(exact(c) for c in row) for row in s.V.jacobian)
+    return Scenario(
+        m=s.m, mode="exact", V=VectorFieldJet(vec(s.V.value), jac),
+        X=vec(s.X), u=vec(s.u), v=vec(s.v), w=vec(s.w),
+    )
+
+
+def _assert_float_matches_dyadic(s):
+    """Each float term, the assembled value and the composition oracle lie
+    within 1e-12 of the largest term of their exact-dyadic values."""
+    got = assemble_density(s, 1e-9)
+    want = assemble_density(_dyadic_scenario(s))
+    assert not want.assembled.value and not want.composition_oracle.value
+    big = max(abs(complex(want.terms[name].value)) for name in TERM_NAMES)
+    assert big > 0
+    pairs = [(got.terms[name], want.terms[name]) for name in TERM_NAMES]
+    pairs += [(got.assembled, want.assembled), (got.composition_oracle, want.composition_oracle)]
+    for f, e in pairs:
+        assert abs(complex(f.value) - complex(e.value)) <= 1e-12 * big
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("m", [2, 3])
+def test_float_density_matches_its_exact_dyadic_value(m, lam):
+    """|V| scaled by 1e-3, 1 and 1e3: the terms scale as |V|^{-4m+4}, the
+    error relative to the largest term does not."""
+    _assert_float_matches_dyadic(_float_scaled(random_scenario(m, "float", random.Random(70 + m)), lam))
+
+
+@pytest.mark.parametrize("name", ["float_m2", "float_m3"])
+def test_float_golden_scenarios_match_their_exact_dyadic_values(name):
+    scenario, _ = load_scenario(str(Path(__file__).parent / "data" / f"{name}_scenario.json"))
+    _assert_float_matches_dyadic(scenario)
