@@ -160,15 +160,16 @@ def check_trace_identities(seed: int = 0) -> CheckOutcome:
                 )
                 for _ in range(6)
             ]
-            # one left-to-right chain c(v_1)...c(v_k), extended from k to k + 2
+            # one left-to-right chain c(v_1)...c(v_k), extended from k to k + 2,
+            # traced by the identity and represented by gamma matrices
             prod = clifford_of_vector(vectors[0])
             done = 1
             try:
                 for k in (2, 4, 6):
-                    value = lemma33_trace_identity(k, vectors[:k], m, fld)
                     for vv in vectors[done:k]:
                         prod = prod * clifford_of_vector(vv)
                     done = k
+                    value = lemma33_trace_identity(k, vectors[:k], m, fld, prod)
                     mat = represent_element(prod, gammas)
                     worst = max(worst, abs(np.trace(mat) - complex(value)))
             except VerificationError:

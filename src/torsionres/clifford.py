@@ -12,21 +12,31 @@ blades to scalars; products are computed by sign-tracked transpositions.
 Products of Clifford elements, of jets and of symbols, and the alpha-sum
 of a symbol composition, share one kernel: ``accumulate`` and ``reduce``.
 ``rows`` flattens each operand into keyed rows of numerators over one
-common denominator: a Clifford element is a single row, a jet has one row
+common denominator: a Clifford element is a single key, a jet has one key
 per x-monomial (``jets.Jet.__mul__``), a symbol one per (xi key,
 x-monomial) (``symbols.symbol_product`` and ``symbols.symbol_compose``).
-Exact rows hold Gaussian-integer numerators, float rows the real and
-imaginary parts of ``complex`` coefficients over 1.0; ``operand_rows``
-refuses an exact operand with a float one, and ``rows`` an operand that
-mixes both, with ``TypeError``.  Jet and symbol rows are grouped by
-x-degree, so that only row pairs within the jet cap are passed to the
-kernel (``jets.accumulate_within_cap``).  Row pairs are matched by the
-caller's key rule, the numerators landing on each (output key, blade) are
-summed under the cached blade sign, and each nonzero sum is reduced once:
-for exact rows one gcd per output coefficient rather than one per
-coefficient pair and per merge of products on the same monomial.  A
-composition feeds the row pairs of all its alpha terms into one
-accumulator before that reduction.
+An exact element gives at most two single-part rows, its real integer
+numerators and its imaginary ones, and each row carries a quarter-turn
+``q``: its coefficients are ``i^q`` times its numerators.  A float element
+gives one row of its ``complex`` coefficients at ``q = 0``.
+``operand_rows`` refuses an exact operand with a float one, and ``rows``
+an operand that mixes both, with ``TypeError``.  The caller passes the
+kernel only the row pairs it admits (``jets.accumulate_admitted``): jet
+and symbol rows within the jet cap, symbol rows at or above the lowest
+degree kept.  Row pairs are matched by the caller's key rule, and each
+blade pair costs one multiply and one add (a ``complex`` one for float
+rows): the product of two numerators lands in the real sums when
+``qa + qb`` is even and in the imaginary ones when it is odd; it is
+negated if bit 2 of ``qa + qb`` is set, and again if the blade sign is -1.
+The sign is read from the left blade's sign mask (``sign_mask``: bit j is
+the parity of popcount(a >> j), so e_A e_B has sign
+(-1)^popcount(b & W(a))), not from a call per pair.  ``reduce`` merges the real and imaginary
+sums of each blade and reduces each nonzero one once: for exact rows one
+gcd per output coefficient rather than one per coefficient pair and per
+merge of products on the same monomial.  A composition feeds the row
+pairs of all its alpha terms into one accumulator before that reduction.
+Coefficients with both parts nonzero become two rows, so their products
+cost the four multiplies of a complex product; the rest cost one.
 
 The fiberwise trace is the spinor-space trace: on a 2m-dimensional frame
 the identity traces to 2^m and every non-empty blade traces to zero.
@@ -222,15 +232,46 @@ def clifford_of_vector(v: FrameVector) -> CliffordElement:
     return CliffordElement(v.dim, terms)
 
 
-def rows(items):
-    """``([(key, [(mask, a, b), ...]), ...], d)``: each ``(key, element)`` of
-    the sequence ``items`` as one row, with every coefficient equal to
-    ``(a + b i)/d``.
+class _SignMasks(dict):
+    """``W(a)`` per blade ``a``, filled in as blades are met: bit j is the
+    parity of popcount(a >> j), so that
 
-    Exact rows hold Gaussian-integer numerators over the least common
-    denominator ``d`` of all coefficients of all the elements.  When the
-    first coefficient met is not a ``GaussianRational``, the rows are float
-    rows (``_float_rows``).  A mix of both kinds raises ``TypeError``.
+        blade_product_sign(a, b) == (-1) ** popcount(b & W(a)).
+
+    Generator j of B passes the generators of A above it and meets its
+    twin in A if there is one: popcount(a >> j) sign changes in all.  One
+    int per left blade, in any dimension.
+    """
+
+    def __missing__(self, a: int) -> int:
+        w = 0
+        j = 0
+        while a >> j:
+            w |= ((a >> j).bit_count() & 1) << j
+            j += 1
+        self[a] = w
+        return w
+
+
+_SIGN_MASKS = _SignMasks()
+
+
+def sign_mask(a: int) -> int:
+    """The sign mask ``W(a)`` of the blade ``a`` (``_SignMasks``)."""
+    return _SIGN_MASKS[a]
+
+
+def rows(items):
+    """``([(key, q, [(mask, n), ...]), ...], d)``: the elements of the
+    sequence of ``(key, element)`` pairs ``items`` as rows, with each
+    coefficient of a row equal to ``i^q n/d``.
+
+    Exact rows hold integer numerators over the least common denominator
+    ``d`` of all coefficients of all the elements.  Each element gives at
+    most two rows, its real numerators at ``q = 0`` and its imaginary ones
+    at ``q = 1``, each holding only the nonzero ones.  When the first
+    coefficient met is not a ``GaussianRational``, the rows are float rows
+    (``_float_rows``).  A mix of both kinds raises ``TypeError``.
     """
     d = 1
     for _, elem in items:
@@ -239,30 +280,39 @@ def rows(items):
                 return _float_rows(items)
             if c._d != d:
                 d = lcm(d, c._d)
-    return [
-        (key, [
-            (m, c._a, c._b) if c._d == d else (m, c._a * (d // c._d), c._b * (d // c._d))
-            for m, c in elem.terms.items()
-        ])
-        for key, elem in items
-    ], d
+    out = []
+    for key, elem in items:
+        re, im = [], []
+        for m, c in elem.terms.items():
+            a, b, f = c._a, c._b, c._d
+            if f != d:
+                f = d // f
+                a *= f
+                b *= f
+            if a:
+                re.append((m, a))
+            if b:
+                im.append((m, b))
+        if re:
+            out.append((key, 0, re))
+        if im:
+            out.append((key, 1, im))
+    return out, d
 
 
 def _float_rows(items):
-    """``rows`` of elements whose every coefficient is a ``complex``: the
-    real and imaginary parts over the float denominator ``1.0``, whose type
-    marks the rows as float."""
+    """``rows`` of elements whose every coefficient is a ``complex``: one
+    row per element at ``q = 0`` holding the coefficients themselves, over
+    the float denominator ``1.0``, whose type marks the rows as float."""
     out = []
     for key, elem in items:
-        row = []
-        for m, c in elem.terms.items():
+        for c in elem.terms.values():
             if type(c) is not complex:
                 raise TypeError(
                     "exact/float mode mixing: float rows take complex "
                     f"coefficients, not {type(c).__name__}"
                 )
-            row.append((m, c.real, c.imag))
-        out.append((key, row))
+        out.append((key, 0, list(elem.terms.items())))
     return out, 1.0
 
 
@@ -276,55 +326,65 @@ def operand_rows(left, right):
     return xs, ys, da * db
 
 
-def accumulate(acc: Dict[object, Dict[int, list]], xs, ys, combine) -> None:
+def accumulate(acc: Dict[object, Tuple[dict, dict]], xs, ys, combine) -> None:
     """Add the products of the rows ``xs`` with the rows ``ys`` (the row
     lists of two ``rows`` results) to ``acc``.
 
-    ``combine(key_a, key_b)`` names the output key of a row pair, or returns
-    ``None`` to skip the pair.  Row elements multiply left times right.  The
-    numerators landing on one (output key, blade) are summed into
-    ``acc[key][blade] = [re, im]`` under the blade sign: as plain ints for
-    exact rows, as floats in pair order for float rows.  Several row pairs,
-    or several calls, may feed one accumulator as long as all left rows
-    share one denominator and all right rows another.
+    ``combine(key_a, key_b)`` names the output key of a row pair.  Row
+    elements multiply left times right: one multiply per blade pair, under
+    the sign ``(-1) ** popcount(mb & sign_mask(ma))``.  A row pair of
+    quarter-turns ``qa + qb = q`` adds into ``acc[key][q & 1]``, the real
+    (0) or imaginary (1) sums per blade, negated when ``q & 2``.  Exact
+    sums are plain ints, float ones ``complex`` sums in pair order.
+    Several row pairs, or several calls, may feed one accumulator as long
+    as all left rows share one denominator and all right rows another.
     """
-    sign = blade_product_sign
-    for ka, ra in xs:
-        for kb, rb in ys:
+    masks = _SIGN_MASKS
+    for ka, qa, ra in xs:
+        left = [(ma, xa, masks[ma]) for ma, xa in ra]
+        negated = None
+        for kb, qb, rb in ys:
             key = combine(ka, kb)
-            if key is None:
-                continue
-            out = acc.get(key)
-            if out is None:
-                out = acc[key] = {}
-            for ma, xa, ya in ra:
-                for mb, xb, yb in rb:
-                    r = xa * xb - ya * yb
-                    i = xa * yb + ya * xb
-                    if sign(ma, mb) < 0:
-                        r = -r
-                        i = -i
+            parts = acc.get(key)
+            if parts is None:
+                parts = acc[key] = ({}, {})
+            q = qa + qb
+            out = parts[q & 1]
+            if q & 2:
+                # only exact rows get here (float rows sit at q = 0), where
+                # (-x) * y == -(x * y) holds exactly
+                if negated is None:
+                    negated = [(ma, -xa, w) for ma, xa, w in left]
+                entries = negated
+            else:
+                entries = left
+            for ma, xa, w in entries:
+                for mb, xb in rb:
+                    p = xa * xb
+                    if (w & mb).bit_count() & 1:
+                        p = -p
                     m = ma ^ mb
                     s = out.get(m)
-                    if s is None:
-                        out[m] = [r, i]
-                    else:
-                        s[0] += r
-                        s[1] += i
+                    out[m] = p if s is None else s + p
 
 
-def reduce(dim: int, acc: Dict[object, Dict[int, list]], d) -> Dict[object, CliffordElement]:
+def reduce(dim: int, acc: Dict[object, Tuple[dict, dict]], d) -> Dict[object, CliffordElement]:
     """The elements of an ``accumulate`` accumulator over the denominator
     ``d``, leaving out keys whose every blade cancels.  Over an int ``d``
-    each nonzero sum is brought to normal form once; over a float ``d`` it
-    becomes ``complex(r/d, i/d)``."""
+    the real and imaginary sums of each blade are merged and each nonzero
+    pair is brought to normal form once; over a float ``d`` (whose rows
+    all sit at ``q = 0``) each nonzero sum ``s`` becomes
+    ``complex(s.real/d, s.imag/d)``."""
     result: Dict[object, CliffordElement] = {}
     exact = type(d) is int
-    for key, out in acc.items():
+    for key, (re, im) in acc.items():
         if exact:
-            terms = {m: _reduced(r, i, d) for m, (r, i) in out.items() if r or i}
+            terms = {m: _reduced(r, im.get(m, 0), d) for m, r in re.items() if r or im.get(m)}
+            for m, i in im.items():
+                if i and m not in re:
+                    terms[m] = _reduced(0, i, d)
         else:
-            terms = {m: complex(r / d, i / d) for m, (r, i) in out.items() if r or i}
+            terms = {m: complex(s.real / d, s.imag / d) for m, s in re.items() if s}
         if terms:
             result[key] = CliffordElement._trusted(dim, terms)
     return result

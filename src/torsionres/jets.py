@@ -6,12 +6,12 @@ scalar-valued jets are simply multiples of the empty blade.  Products
 truncate beyond the degree cap, and coefficient multiplication goes
 through the (noncommutative) Clifford product, so jet factors are never
 reordered.  A product, exact or float, runs in the row kernel of
-``clifford`` with one row per monomial: the numerators of all Clifford
-products that land on one output monomial are summed before a single
-reduction per blade.  Rows go in order of x-degree, and only pairs whose
-x-degrees add up to at most the cap reach the kernel
-(``accumulate_within_cap``, shared with the symbol products of
-``symbols``).
+``clifford`` keyed by monomial (an exact coefficient gives a real and an
+imaginary row): the numerators of all Clifford products that land on one
+output monomial are summed before a single reduction per blade.  Only
+row pairs whose x-degrees add up to at most the cap reach the kernel
+(``accumulate_admitted``, shared with the symbol products of
+``symbols``), in the order of the rows, which go by x-degree.
 """
 
 from __future__ import annotations
@@ -36,34 +36,50 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
 
-def accumulate_within_cap(acc, xs, ys, cap: int, combine) -> None:
-    """``accumulate`` on the pairs of rows of ``xs`` and ``ys`` whose
-    x-degrees add up to at most ``cap``.
+def accumulate_admitted(acc, xs, ys, label, admits, combine) -> None:
+    """``accumulate`` on the pairs of rows of ``xs`` and ``ys`` whose key
+    labels ``admits(label(key_a), label(key_b))`` allows.
 
-    Both row lists are in order of x-degree, the last entry of each row key.
-    When no pair can pass the cap, all rows go to the kernel in one call;
-    otherwise each x-degree group of ``xs`` meets the prefix of ``ys`` that
-    stays within the cap.
+    Each left row meets the right rows its label admits, in their order,
+    so the pairs that are kept run in the same order as over all pairs.
+    Consecutive left rows that admit the same right rows go to the kernel
+    in one call.
     """
-    if xs[-1][0][-1] + ys[-1][0][-1] <= cap:
-        accumulate(acc, xs, ys, combine)
-        return
-    x_sizes, y_sizes = [0] * (cap + 1), [0] * (cap + 1)
-    for key, _ in xs:
-        x_sizes[key[-1]] += 1
-    for key, _ in ys:
-        y_sizes[key[-1]] += 1
-    start = 0
-    for degree, size in enumerate(x_sizes):
-        within = sum(y_sizes[:cap - degree + 1])
-        if size and within:
-            accumulate(acc, xs[start:start + size], ys[:within], combine)
-        start += size
+    y_labels = [label(row[0]) for row in ys]
+    partners = {}
+    run, run_ys = [], ys
+    for row in xs:
+        la = label(row[0])
+        admitted = partners.get(la)
+        if admitted is None:
+            admitted = [y for y, lb in zip(ys, y_labels) if admits(la, lb)]
+            if len(admitted) == len(ys):
+                admitted = ys
+            partners[la] = admitted
+        if admitted is not run_ys:
+            if run and run_ys:
+                accumulate(acc, run, run_ys, combine)
+            run, run_ys = [], admitted
+        run.append(row)
+    if run and run_ys:
+        accumulate(acc, run, run_ys, combine)
+
+
+def _x_degree(key) -> int:
+    """The label of a jet row: its x-degree, the last key entry."""
+    return key[-1]
+
+
+def _within_cap(cap: int):
+    """The ``admits`` rule of rows labelled by x-degree: the degrees add up
+    to at most the jet cap ``cap``."""
+    return lambda a, b: a + b <= cap
 
 
 def _jet_items(jet: "Jet"):
     """The ``(key, element)`` items of a jet's rows, one per monomial, keyed
-    by ``(monomial, degree)`` and in order of degree."""
+    by ``(monomial, degree)`` and in order of degree, which fixes the order
+    of float sums."""
     by_degree = [[] for _ in range(jet.max_degree + 1)]
     for mono, elem in jet.terms.items():
         degree = _mono_degree(mono)
@@ -152,7 +168,7 @@ class Jet:
             return Jet(self.nvars, cap)
         xs, ys, d = operand_rows(_jet_items(self), _jet_items(other))
         acc: Dict = {}
-        accumulate_within_cap(acc, xs, ys, cap, _jet_pair_key)
+        accumulate_admitted(acc, xs, ys, _x_degree, _within_cap(cap), _jet_pair_key)
         return Jet._trusted(self.nvars, cap, reduce(coefficient_dim(self, other), acc, d))
 
     def scale(self, s) -> "Jet":

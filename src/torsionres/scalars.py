@@ -249,9 +249,6 @@ class _ExactField:
     def complex_of(self, re, im=0):
         return GaussianRational(_as_fraction(re), _as_fraction(im))
 
-    def is_zero(self, x, tol: float = 0.0) -> bool:
-        return not bool(x)
-
     def eq(self, a, b, tol: float = 0.0) -> bool:
         return a == b
 
@@ -276,9 +273,6 @@ class _FloatField:
 
     def complex_of(self, re, im=0):
         return complex(self.of(re).real, self.of(im).real)
-
-    def is_zero(self, x, tol: float = 1e-12) -> bool:
-        return abs(complex(x)) <= tol
 
     def eq(self, a, b, tol: float = 1e-12) -> bool:
         a, b = complex(a), complex(b)

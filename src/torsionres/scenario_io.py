@@ -17,8 +17,9 @@ Scenario files are JSON documents:
     }
 
 ``jacobian[j][a]`` is the derivative of V_a along x_j (rows are
-directions).  Exact mode takes rational literals "p/q"; float mode takes
-plain numbers.  The optional ``perturb`` block is the negative-control
+directions).  ``m`` is an integer from 2 to ``gamma.MAX_M`` = 5, the
+largest m that every route reaches.  Exact mode takes rational literals
+"p/q"; float mode takes plain numbers.  The optional ``perturb`` block is the negative-control
 hook: it shifts one term's reference closed form before the gating
 comparison.  The optional ``seed`` is an integer or null, echoed into the
 report.
@@ -36,6 +37,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .clifford import FrameVector
+from .gamma import MAX_M
 from .geometry import Scenario, VectorFieldJet
 from .scalars import field_for_mode
 from .torsion import TERM_NAMES
@@ -101,8 +103,8 @@ def parse_scenario(doc: Dict) -> Tuple[Scenario, Optional[Tuple[str, Fraction]]]
     if schema != 1:
         raise ScenarioError(f"schema: unsupported version {schema!r} (expected 1)")
     m = doc.get("m")
-    if not isinstance(m, int) or m < 2:
-        raise ScenarioError(f"m: must be an integer >= 2, got {m!r}")
+    if not isinstance(m, int) or not 2 <= m <= MAX_M:
+        raise ScenarioError(f"m: must be an integer in 2..{MAX_M}, got {m!r}")
     mode = doc.get("mode")
     if mode not in ("exact", "float"):
         raise ScenarioError(f"mode: must be \"exact\" or \"float\", got {mode!r}")

@@ -16,14 +16,18 @@ with their power-cross sum (``power_expansion``), from which the term
 route builds the negative powers.
 
 A ``symbol_product``, exact or float, does not multiply jets pair by pair:
-both symbols are flattened into one row per (xi key, x-monomial), grouped
-by x-degree, and go through the row kernel of ``clifford``, which reduces
-each output coefficient once.  Only row pairs whose x-degrees add up to at
-most the jet cap reach the kernel (``jets.accumulate_within_cap``), and the
-key rule skips the pairs below ``lowest_degree``.  A ``symbol_compose``
-flattens its operands once, takes the xi- and x-derivatives of every alpha
-on the rows, which keeps them grouped, and sums all alpha terms in one
-kernel accumulator.
+both symbols are flattened into rows keyed by (xi key, x-monomial), in
+order of x-degree, and go through the row kernel of ``clifford``, which
+reduces each output coefficient once.  An exact coefficient gives a real
+and an imaginary row, each with a quarter-turn (see ``clifford``).  Only
+row pairs whose x-degrees add up to at most the jet cap and whose
+xi-degrees add up to at least ``lowest_degree`` reach the kernel
+(``jets.accumulate_admitted`` on ``(x-degree, xi-degree)`` labels), so the
+key rule sees only pairs it keeps.  A ``symbol_compose`` flattens its
+operands once, takes the xi- and x-derivatives of every alpha on the rows,
+and sums all alpha terms in one kernel accumulator; the (-i)^{|alpha|} of
+an alpha term turns the quarter-turn of exact rows and rotates the
+coefficients of float rows.
 
 Equality of symbols is decided exactly: the representation by monomials
 and norm powers is not unique (sum_i xi_i^2 = |xi|^2), so a difference is
@@ -38,7 +42,7 @@ import math
 from typing import Dict, Iterable, List, Tuple
 
 from .clifford import CliffordElement, operand_rows, reduce
-from .jets import Jet, _mono_mul, accumulate_within_cap, coefficient_dim, invert_scalar_jet
+from .jets import Jet, _mono_mul, accumulate_admitted, coefficient_dim, invert_scalar_jet
 
 XiMono = Tuple[int, ...]
 TermKey = Tuple[XiMono, int]  # (xi exponents, norm power k meaning |xi|^{2k})
@@ -200,8 +204,8 @@ class Symbol:
 def _symbol_items(s: Symbol):
     """The ``(key, element)`` items of a symbol's rows, one per (xi key,
     x-monomial), keyed by ``(xi exponents, norm power, xi-degree,
-    x-monomial, x-degree)`` and in order of x-degree, as
-    ``accumulate_within_cap`` takes them."""
+    x-monomial, x-degree)`` and in order of x-degree, which fixes the order
+    of float sums."""
     by_degree = [[] for _ in range(s.max_degree + 1)]
     for (mono, k), jet in s.terms.items():
         deg = sum(mono) + 2 * k
@@ -211,17 +215,21 @@ def _symbol_items(s: Symbol):
     return [item for items in by_degree for item in items]
 
 
-def _row_times(row, c: int, quarters: int = 0):
-    """The numerators of ``row`` times the integer ``c`` and ``(-i)^quarters``;
-    ``(a + b i)(-i) = b - a i``."""
+def _row_times(q: int, row, c: int, quarters: int = 0):
+    """``(q, row)`` of the row ``row`` at quarter-turn ``q`` times the
+    integer ``c`` and ``(-i)^quarters``.  An exact row takes the rotation
+    in its quarter-turn, i^q (-i)^k = i^(q - k); a float row stays at
+    q = 0 and rotates its coefficients, ``(a + b i)(-i) = b - a i``."""
     quarters %= 4
+    if type(row[0][1]) is not complex:
+        return (q - quarters) % 4, row if c == 1 else [(m, c * n) for m, n in row]
     if quarters == 0:
-        return row if c == 1 else [(m, c * a, c * b) for m, a, b in row]
+        return q, row if c == 1 else [(m, complex(c * z.real, c * z.imag)) for m, z in row]
     if quarters == 1:
-        return [(m, c * b, -c * a) for m, a, b in row]
+        return q, [(m, complex(c * z.imag, -c * z.real)) for m, z in row]
     if quarters == 2:
-        return [(m, -c * a, -c * b) for m, a, b in row]
-    return [(m, -c * b, c * a) for m, a, b in row]
+        return q, [(m, complex(-c * z.real, -c * z.imag)) for m, z in row]
+    return q, [(m, complex(-c * z.imag, c * z.real)) for m, z in row]
 
 
 def _bumped(mono: Tuple[int, ...], j: int, by: int) -> Tuple[int, ...]:
@@ -233,12 +241,14 @@ def _xi_derivative_rows(rows, j: int):
     d|xi|^{2k} = 2k |xi|^{2k-2} xi_j, each scaling the numerators.  Rows
     that land on one key stay separate; the kernel sums them."""
     out = []
-    for (mono, k, deg, xmono, xdeg), row in rows:
+    for (mono, k, deg, xmono, xdeg), q, row in rows:
         e = mono[j]
         if e:
-            out.append(((_bumped(mono, j, -1), k, deg - 1, xmono, xdeg), _row_times(row, e)))
+            key = (_bumped(mono, j, -1), k, deg - 1, xmono, xdeg)
+            out.append((key, *_row_times(q, row, e)))
         if k:
-            out.append(((_bumped(mono, j, 1), k - 1, deg - 1, xmono, xdeg), _row_times(row, 2 * k)))
+            key = (_bumped(mono, j, 1), k - 1, deg - 1, xmono, xdeg)
+            out.append((key, *_row_times(q, row, 2 * k)))
     return out
 
 
@@ -247,26 +257,34 @@ def _x_derivative_rows(rows, j: int):
     drop out, the others lose one power and scale by its exponent.  Every
     x-degree drops by one, so rows in order of x-degree stay in order."""
     out = []
-    for (mono, k, deg, xmono, xdeg), row in rows:
+    for (mono, k, deg, xmono, xdeg), q, row in rows:
         e = xmono[j]
         if e:
-            out.append(((mono, k, deg, _bumped(xmono, j, -1), xdeg - 1), _row_times(row, e)))
+            out.append(((mono, k, deg, _bumped(xmono, j, -1), xdeg - 1), *_row_times(q, row, e)))
     return out
 
 
-def _row_pair_rule(lowest_degree: int | None):
-    """The ``combine`` rule of a product of symbol rows: the output key is
-    ``((xi exponents, norm power), x-monomial)``; pairs whose xi-degree falls
-    below ``lowest_degree`` are skipped.  Pairs past the jet cap never get
-    here: ``accumulate_within_cap`` leaves them out."""
+def _symbol_label(key) -> Tuple[int, int]:
+    """The label of a symbol row: ``(x-degree, xi-degree)``."""
+    return key[4], key[2]
+
+
+def _admits(cap: int, lowest_degree: int | None):
+    """The ``admits`` rule of a product of symbol rows: x-degrees that add
+    up to at most the jet cap ``cap``, and xi-degrees that add up to at
+    least ``lowest_degree`` (any, if it is ``None``)."""
     lowest = -math.inf if lowest_degree is None else lowest_degree
+    return lambda a, b: a[0] + b[0] <= cap and a[1] + b[1] >= lowest
+
+
+def _row_pair_rule():
+    """The ``combine`` rule of a product of symbol rows: the output key is
+    ``((xi exponents, norm power), x-monomial)``.  Only admitted pairs get
+    here: ``accumulate_admitted`` leaves out those past the jet cap and
+    those below the lowest degree (``_admits``)."""
 
     def combine(ka, kb):
-        ma, pa, da, xa, _ = ka
-        mb, pb, db, xb, _ = kb
-        if da + db < lowest:
-            return None
-        return (_mono_mul(ma, mb), pa + pb), _mono_mul(xa, xb)
+        return (_mono_mul(ka[0], kb[0]), ka[1] + kb[1]), _mono_mul(ka[3], kb[3])
 
     return combine
 
@@ -292,7 +310,8 @@ def symbol_product(a: Symbol, b: Symbol, lowest_degree: int | None = None) -> Sy
         return Symbol.zero(a.nvars, a.max_degree, a.field)
     xs, ys, d = operand_rows(_symbol_items(a), _symbol_items(b))
     acc: Dict = {}
-    accumulate_within_cap(acc, xs, ys, a.max_degree, _row_pair_rule(lowest_degree))
+    admits = _admits(a.max_degree, lowest_degree)
+    accumulate_admitted(acc, xs, ys, _symbol_label, admits, _row_pair_rule())
     return _symbol_of_elements(a, reduce(_first_dim(a, b), acc, d))
 
 
@@ -352,7 +371,8 @@ def symbol_compose(
     ]
     p_rows, q_rows, d = operand_rows(_symbol_items(p), _symbol_items(q))
     scale = math.lcm(*(fact for _, _, fact in alphas))
-    combine = _row_pair_rule(lowest_degree)
+    admits = _admits(p.max_degree, lowest_degree)
+    combine = _row_pair_rule()
     acc: Dict = {}
     for order, mus, fact in alphas:
         dq = q_rows
@@ -368,8 +388,8 @@ def symbol_compose(
         if not dp:
             continue
         c = scale // fact
-        dp = [(key, _row_times(row, c, order)) for key, row in dp]
-        accumulate_within_cap(acc, dp, dq, p.max_degree, combine)
+        dp = [(key, *_row_times(q, row, c, order)) for key, q, row in dp]
+        accumulate_admitted(acc, dp, dq, _symbol_label, admits, combine)
     return _symbol_of_elements(p, reduce(_first_dim(p, q), acc, d * scale))
 
 

@@ -384,14 +384,24 @@ def trace_pairing_formula(vectors: Sequence[FrameVector], m: int, field):
     return rec(tuple(range(k))) * field.of(2**m)
 
 
-def lemma33_trace_identity(k: int, vectors: Sequence[FrameVector], m: int, field):
+def lemma33_trace_identity(
+    k: int,
+    vectors: Sequence[FrameVector],
+    m: int,
+    field,
+    product: CliffordElement | None = None,
+):
     """Evaluate tr of a k-fold Clifford product both symbolically and by
-    the pairing formula, assert equality, and return the value."""
+    the pairing formula, assert equality, and return the value.
+
+    ``product`` is the chain c(v_1)...c(v_k) when the caller already has
+    it; without it the chain is built here."""
     if k not in (2, 4, 6):
         raise ValueError(f"trace identity defined for k in {{2,4,6}}, got {k}")
     if len(vectors) != k:
         raise ValueError(f"expected {k} vectors, got {len(vectors)}")
-    product = clifford_product_seq([clifford_of_vector(x) for x in vectors])
+    if product is None:
+        product = clifford_product_seq([clifford_of_vector(x) for x in vectors])
     symbolic = clifford_trace(product, m)
     if not bool(symbolic):
         symbolic = field.of(0)

@@ -144,6 +144,16 @@ def test_seed_is_an_integer_or_null(seed):
     assert build_report(scenario)["scenario"].get("seed") == seed
 
 
+@pytest.mark.parametrize("m", [6, 10**6])
+def test_cli_m_above_the_gamma_cap_is_a_usage_error(tmp_path, capsys, m):
+    """m runs up to gamma.MAX_M = 5, the largest m that every route
+    reaches; a larger m fails at parse time, before any vector is read."""
+    doc = dict(DERIVED, m=m)
+    with pytest.raises(ScenarioError, match=r"m: must be an integer in 2\.\.5"):
+        parse_scenario(doc)
+    _assert_usage_error(["run", "--scenario", write_scenario(tmp_path, doc)], capsys)
+
+
 # -- reports ---------------------------------------------------------------------
 
 

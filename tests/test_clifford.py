@@ -15,7 +15,9 @@ from torsionres.clifford import (
     clifford_trace,
     clifford_trace_of_product,
     grade_project,
+    sign_mask,
 )
+from torsionres import clifford
 from torsionres.scalars import EXACT, FLOAT
 
 from conftest import exact_vector, small_rational
@@ -193,6 +195,53 @@ def test_exact_product_drops_cancelled_blades():
     a = CliffordElement(2, {0b01: c, 0b10: c})
     b = CliffordElement(2, {0b01: c, 0b10: -c})
     assert clifford_product(a, b).terms == {0b11: EXACT.complex_of(Fraction(2, 3), Fraction(-8, 9))}
+
+
+def test_sign_mask_gives_the_blade_sign():
+    """(-1)^popcount(b & W(a)) is the sign of e_A e_B for all blades below 2^8."""
+    reference = blade_product_sign.__wrapped__
+    for a in range(2**8):
+        w = sign_mask(a)
+        for b in range(2**8):
+            assert (-1) ** (b & w).bit_count() == reference(a, b), (a, b)
+
+
+def test_product_takes_its_signs_from_the_mask(monkeypatch):
+    """A product of two dense dim-6 elements calls no blade sign function."""
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return blade_product_sign(a, b)
+
+    monkeypatch.setattr(clifford, "blade_product_sign", counted)
+    rng = random.Random(6)
+    a, b = (
+        CliffordElement(6, {m: EXACT.complex_of(rng.randint(-3, 3), 1) for m in range(64)})
+        for _ in range(2)
+    )
+    assert clifford_product(a, b).terms == _reference_product(a, b)
+    assert calls == []
+
+
+# (c e1 + e2)(e1 + v e2) with c = 1 + i has scalar part -(c + v) and e12 part
+# c v - 1; each v cancels one part of the scalar blade, or both
+@pytest.mark.parametrize(
+    "v,scalar",
+    [
+        ((-1, 0), EXACT.complex_of(0, -1)),  # only the real part cancels
+        ((0, -1), EXACT.complex_of(-1, 0)),  # only the imaginary part cancels
+        ((-1, -1), None),  # both cancel: the blade is dropped
+    ],
+)
+def test_exact_product_cancels_each_part_of_a_mixed_coefficient(v, scalar):
+    c = EXACT.complex_of(1, 1)
+    a = CliffordElement(2, {0b01: c, 0b10: EXACT.one})
+    b = CliffordElement(2, {0b01: EXACT.one, 0b10: EXACT.complex_of(*v)})
+    got = clifford_product(a, b).terms
+    assert got == _reference_product(a, b)
+    assert got.get(0) == scalar
+    assert got[0b11] == c * EXACT.complex_of(*v) - EXACT.one
 
 
 def _float_element(dim, rng):

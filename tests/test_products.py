@@ -14,6 +14,7 @@ taken over ordered derivative sequences with weight 1/|alpha|!.
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from torsionres.geometry import (
     random_scenario,
     rescaled_dirac_symbols,
 )
+from torsionres.report import build_report
 from torsionres.symbols import Symbol, symbol_compose, symbol_invert_order2, symbol_product
 
 
@@ -372,6 +374,62 @@ def test_no_row_pair_past_the_jet_cap_reaches_a_key_rule(monkeypatch):
     assert jet_degrees and max(jet_degrees) == cap
     assert symbol_degrees and max(symbol_degrees) == cap
 
+
+def _patch_everywhere(monkeypatch, fn, replacement):
+    """Point every name that a ``torsionres`` module binds to ``fn`` at
+    ``replacement``."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("torsionres"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def test_no_row_pair_below_the_lowest_degree_reaches_a_key_rule(monkeypatch):
+    """Symbol products and compositions leave out row pairs whose
+    xi-degrees add up to less than ``lowest_degree`` before the kernel asks
+    the key rule: over exact m=2 and m=3 reports and the inversion of a
+    curved Laplacian, the rule sees pairs, but none below."""
+    floors, seen, below = [], [], []
+    product, compose, row_rule = symbol_product, symbol_compose, symbols._row_pair_rule
+
+    def watched_product(a, b, lowest_degree=None):
+        floors.append(lowest_degree)
+        try:
+            return product(a, b, lowest_degree)
+        finally:
+            floors.pop()
+
+    def watched_compose(p, q, lowest_degree, **kwargs):
+        floors.append(lowest_degree)
+        try:
+            return compose(p, q, lowest_degree, **kwargs)
+        finally:
+            floors.pop()
+
+    def watched_row_rule(*args):
+        combine = row_rule(*args)
+        floor = floors[-1]
+
+        def watched(ka, kb):
+            seen.append(ka[2] + kb[2])
+            if floor is not None and ka[2] + kb[2] < floor:
+                below.append((ka, kb, floor))
+            return combine(ka, kb)
+
+        return watched
+
+    _patch_everywhere(monkeypatch, product, watched_product)
+    _patch_everywhere(monkeypatch, compose, watched_compose)
+    monkeypatch.setattr(symbols, "_row_pair_rule", watched_row_rule)
+    for m in (2, 3):
+        build_report(random_scenario(m, "exact", random.Random(520 + m)))
+    curv = random_curvature(4, random.Random(5))
+    symbol_invert_order2(laplacian_symbol(build_metric_jets(curv)), 4)
+    assert seen
+    assert below == []
+
+
 # -- hand-made cases -------------------------------------------------------------
 
 
@@ -402,6 +460,44 @@ def test_exact_products_drop_cancelled_keys():
     prod = symbol_product(sa, sb)
     assert set(prod.terms) == {((2, 0), 0), ((0, 2), 0)}
     assert symbol_product(sa, sb, lowest_degree=3).terms == {}
+
+
+# (c e1 + e2)(e1 + v e2) with c = 1 + i: each v cancels the real part, the
+# imaginary part or both parts of the scalar blade (see test_clifford.py)
+@pytest.mark.parametrize("v", [(-1, 0), (0, -1), (-1, -1)])
+def test_exact_products_cancel_each_part_of_a_mixed_coefficient(v):
+    """Jet and symbol coefficients carrying the Clifford case: the same
+    blades as the reference, a blade whose both parts cancel left out."""
+    x1, x2 = (1, 0), (0, 1)
+    a = CliffordElement(2, {0b01: EXACT.complex_of(1, 1), 0b10: EXACT.one})
+    b = CliffordElement(2, {0b01: EXACT.one, 0b10: EXACT.complex_of(*v)})
+    ja, jb = Jet(2, 2, {x1: a}), Jet(2, 2, {x2: b})
+    got = _jet_terms(ja * jb)
+    assert got == _reference_jet_product(ja, jb)
+    assert (0 in got[(1, 1)]) == (v != (-1, -1))
+    sa = Symbol(2, 2, EXACT, {(x1, 0): ja})
+    sb = Symbol(2, 2, EXACT, {(x2, -1): jb})
+    assert _symbol_terms(symbol_product(sa, sb)) == _reference_symbol_product(sa, sb, None)
+
+
+def test_exact_products_drop_a_key_whose_every_mixed_blade_cancels():
+    """(1 + i) x1 e1 + x2 e2 times x2 e2 + (1 + i) x1 e1: on x1 x2 the
+    products (1 + i) e1 e2 and (1 + i) e2 e1 cancel on every blade, so the
+    monomial is left out; x1^2 and x2^2 keep -2i and -1.  The same with xi
+    monomials in place of x monomials."""
+    x1, x2, zero = (1, 0), (0, 1), (0, 0)
+    c = _e(2, 0b01, 1, 1)
+    a = Jet(2, 2, {x1: c, x2: _e(2, 0b10)})
+    b = Jet(2, 2, {x2: _e(2, 0b10), x1: c})
+    got = _jet_terms(a * b)
+    assert got == _reference_jet_product(a, b)
+    assert got == {(2, 0): {0: EXACT.complex_of(0, -2)}, (0, 2): {0: -EXACT.one}}
+    const = lambda elem: Jet(2, 1, {zero: elem})  # noqa: E731
+    sa = Symbol(2, 1, EXACT, {(x1, 0): const(c), (x2, 0): const(_e(2, 0b10))})
+    sb = Symbol(2, 1, EXACT, {(x2, 0): const(_e(2, 0b10)), (x1, 0): const(c)})
+    got = _symbol_terms(symbol_product(sa, sb))
+    assert got == _reference_symbol_product(sa, sb, None)
+    assert set(got) == {((2, 0), 0), ((0, 2), 0)}
 
 
 def test_exact_products_keep_factor_order():

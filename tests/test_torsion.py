@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torsionres import checks, geometry, reference, report, torsion
+from torsionres import checks, clifford, geometry, reference, report, torsion
 from torsionres.clifford import CliffordElement, FrameVector, clifford_of_vector, clifford_trace
 from torsionres.gamma import build_gamma_matrices, represent_element
 from torsionres.geometry import Scenario, VectorFieldJet, random_scenario
@@ -486,6 +486,25 @@ def test_trace_pairing_formula_pairs_each_two_vectors_once(monkeypatch):
     for x in vectors[1:]:
         product = product * clifford_of_vector(x)
     assert value == clifford_trace(product, 3)
+
+
+def test_trace_identity_check_builds_one_chain_per_tuple(monkeypatch):
+    """Lemma check 3.3 traces and represents one chain c(v_1)...c(v_k) per
+    tuple, extended from k to k + 2: 1 + 2 + 2 Clifford products for its
+    k = 2, 4, 6, with the lines it prints unchanged."""
+    calls = []
+    product = clifford.clifford_product
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(clifford, "clifford_product", counted)
+    outcome = checks.check_trace_identities(1)
+    assert outcome.cases == 100
+    assert len(calls) <= 5 * outcome.cases
+    golden = Path(__file__).parent / "data" / "lemma_3.3_seed1.txt"
+    assert outcome.lines == golden.read_text().splitlines()[:2]
 
 
 # -- printed-variant characterization -------------------------------------------
