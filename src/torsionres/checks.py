@@ -13,12 +13,20 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence
 
+import numpy as np
+
 from .clifford import FrameVector, clifford_of_vector
-from .gamma import build_gamma_matrices, anticommutation_residual, verify_representation
+from .gamma import (
+    anticommutation_residual,
+    build_gamma_matrices,
+    represent_element,
+    verify_representation,
+)
 from .geometry import (
     Scenario,
     VectorFieldJet,
     VerificationError,
+    _random_components,
     laplacian_inverse_check,
     random_curvature,
     random_scenario,
@@ -122,7 +130,7 @@ def check_inverse_square_symbols(seed: int = 0) -> CheckOutcome:
         pieces = rescaled_dirac_square_sigma1_pieces(s)
         closed = rescaled_dirac_square_symbols(s, pieces)
         try:
-            q2, q3 = rescaled_dirac_inverse_symbols(s, square=closed, pieces=pieces)
+            q2, q3 = rescaled_dirac_inverse_symbols(s, closed, pieces)
         except VerificationError as exc:
             out.record(False, f"m={m} case {k + 1}: {exc}", residual=1.0)
             out.cases += 1
@@ -140,26 +148,14 @@ def check_trace_identities(seed: int = 0) -> CheckOutcome:
     """2-, 4- and 6-fold spinor trace identities, exact and gamma-matrix."""
     out = _new_outcome("3.3")
     rng = random.Random(seed)
-    from .gamma import represent_element
-    import numpy as np
-
+    fld = field_for_mode("exact")
     for m in (2, 3):
         n = 2 * m
-        fld = field_for_mode("exact")
         gammas = build_gamma_matrices(m)
         worst = 0.0
         ok_all = True
         for _ in range(50):
-            vectors = [
-                FrameVector(
-                    n,
-                    tuple(
-                        fld.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-                        for _ in range(n)
-                    ),
-                )
-                for _ in range(6)
-            ]
+            vectors = [FrameVector(n, _random_components(n, "exact", rng)) for _ in range(6)]
             # one left-to-right chain c(v_1)...c(v_k), extended from k to k + 2,
             # traced by the identity and represented by gamma matrices
             prod = clifford_of_vector(vectors[0])
@@ -327,21 +323,13 @@ def scenario_invariant_suite(s: Scenario, rng: random.Random, tol: float = 0.0) 
     bd = assemble_density(s, tol)
     inv = scenario_invariants(s)
     *term_rows, oracle_row, imag_row = gating_comparisons(
-        s, bd, reference_term_densities(s, inv), tol
+        s, bd, reference_term_densities(inv), tol
     )
     record([oracle_row], "assembled equals composition oracle (residual {:.2e})")
     record(term_rows, "per-term densities match derived closed forms (worst {:.2e})")
     record([imag_row], "assembled density is real ({:.2e})")
 
-    other_x = FrameVector(
-        s.n,
-        tuple(
-            fld.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-            if not is_float
-            else fld.of(rng.gauss(0.0, 1.0))
-            for _ in range(s.n)
-        ),
-    )
+    other_x = FrameVector(s.n, _random_components(s.n, s.mode, rng))
     x_sum, x_terms = term_route(replace(s, X=other_x))
     record([compare(bd.assembled, x_sum, bd.terms, x_terms)],
            "assembled density is X-independent (residual {:.2e})")
@@ -361,7 +349,8 @@ def scenario_invariant_suite(s: Scenario, rng: random.Random, tol: float = 0.0) 
         return compare(sum_terms(bd.terms, names), sum_terms(wu_terms, names),
                        bd.terms, wu_terms)
 
-    theorem = compare(theorem_density(s, inv), theorem_density(s_wu), bd.terms, wu_terms)
+    theorem = compare(theorem_density(inv), theorem_density(scenario_invariants(s_wu)),
+                      bd.terms, wu_terms)
     record([compare(bd.assembled, wu_sum, bd.terms, wu_terms)]
            + [exchanged(name) for name in ("l2", "l3", "l4", "l5")]
            + [exchanged("h1", "l1", "k1", "k2")],

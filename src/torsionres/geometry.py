@@ -36,6 +36,13 @@ class VerificationError(AssertionError):
     """A symbolic identity check failed; the message carries the residual."""
 
 
+def require_symbols_equal(a: Symbol, b: Symbol, tol: float, message: str) -> None:
+    """Raise ``VerificationError`` with ``message`` and the residual unless
+    ``symbols_equal(a, b, tol)``."""
+    if not symbols_equal(a, b, tol):
+        raise VerificationError(f"{message} (residual {symbol_residual(a, b):.6g})")
+
+
 # ---------------------------------------------------------------------------
 # curvature
 # ---------------------------------------------------------------------------
@@ -321,20 +328,12 @@ def laplacian_inverse_check(curv: CurvatureData) -> Tuple[Symbol, Symbol]:
     sigma1_closed = laplacian_sigma1_closed_form(curv)
     q2_closed, q3_closed = laplacian_inverse_closed_forms(jets, sigma1_closed)
 
-    sigma1 = sym.take_degree(1)
-    if not symbols_equal(sigma1, sigma1_closed):
-        raise VerificationError(
-            "jet-built sigma_1 of the Laplacian is off closed form "
-            f"(residual {symbol_residual(sigma1, sigma1_closed):.6g})"
-        )
-    if not symbols_equal(q2, q2_closed):
-        raise VerificationError(
-            f"sigma_-2 mismatch (residual {symbol_residual(q2, q2_closed):.6g})"
-        )
-    if not symbols_equal(q3, q3_closed):
-        raise VerificationError(
-            f"sigma_-3 mismatch (residual {symbol_residual(q3, q3_closed):.6g})"
-        )
+    require_symbols_equal(
+        sym.take_degree(1), sigma1_closed, 0.0,
+        "jet-built sigma_1 of the Laplacian is off closed form",
+    )
+    require_symbols_equal(q2, q2_closed, 0.0, "sigma_-2 mismatch")
+    require_symbols_equal(q3, q3_closed, 0.0, "sigma_-3 mismatch")
     return q2, q3
 
 
@@ -549,24 +548,21 @@ def rescaled_dirac_square_sigma1_pieces(s: Scenario) -> Dict[str, Symbol]:
     return pieces
 
 
-def rescaled_dirac_square_symbols(
-    s: Scenario, pieces: Optional[Dict[str, Symbol]] = None
-) -> Symbol:
+def rescaled_dirac_square_symbols(s: Scenario, pieces: Dict[str, Symbol]) -> Symbol:
     """Closed-form symbols of the squared operator: sigma_2 = |V|^4 |xi|^2,
     with first-order jets, plus the three first-order groups at the base
-    point; Christoffel/connection terms vanish at the base point."""
+    point (``pieces``, from ``rescaled_dirac_square_sigma1_pieces``);
+    Christoffel/connection terms vanish at the base point."""
     n, fld = s.n, s.field
     w2 = norm_sq_jet(s.V)
     sym = Symbol(n, 1, fld, {((0,) * n, 1): w2 * w2})
-    if pieces is None:
-        pieces = rescaled_dirac_square_sigma1_pieces(s)
     for piece in pieces.values():
         sym = sym + piece
     return sym
 
 
 def rescaled_dirac_inverse_closed_forms(
-    s: Scenario, pieces: Optional[Dict[str, Symbol]] = None
+    s: Scenario, pieces: Dict[str, Symbol]
 ) -> Tuple[Symbol, Symbol]:
     """Closed-form inverse symbols of the squared operator, q_{-2} with
     first-order jets and q_{-3} at the base point.
@@ -581,8 +577,6 @@ def rescaled_dirac_inverse_closed_forms(
     q2 = Symbol(n, 1, fld, {((0,) * n, -1): w4_inv})
 
     q3 = Symbol.zero(n, 1, fld)
-    if pieces is None:
-        pieces = rescaled_dirac_square_sigma1_pieces(s)
     sigma1 = Symbol.zero(n, 1, fld)
     for piece in pieces.values():
         sigma1 = sigma1 + piece
@@ -602,30 +596,18 @@ def rescaled_dirac_inverse_closed_forms(
 
 
 def rescaled_dirac_inverse_symbols(
-    s: Scenario,
-    tol: float = 0.0,
-    square: Optional[Symbol] = None,
-    pieces: Optional[Dict[str, Symbol]] = None,
+    s: Scenario, square: Symbol, pieces: Dict[str, Symbol], tol: float = 0.0
 ) -> Tuple[Symbol, Symbol]:
-    """Invert the squared-operator symbol and confirm the closed forms:
-    q_{-2} through first jet order, q_{-3} at the base point (its value
-    already carries the first derivatives of V)."""
-    if pieces is None:
-        pieces = rescaled_dirac_square_sigma1_pieces(s)
-    if square is None:
-        square = rescaled_dirac_square_symbols(s, pieces)
+    """Invert the squared-operator symbol ``square`` and confirm the closed
+    forms built from its first-order ``pieces``: q_{-2} through first jet
+    order, q_{-3} at the base point (its value already carries the first
+    derivatives of V)."""
     q2, q3 = symbol_invert_order2(square, s.n)
     q2_closed, q3_closed = rescaled_dirac_inverse_closed_forms(s, pieces)
-    if not symbols_equal(q2, q2_closed, tol):
-        raise VerificationError(
-            "q_{-2} recursion does not match |V|^{-4}|xi|^{-2} "
-            f"(residual {symbol_residual(q2, q2_closed):.6g})"
-        )
-    if not symbols_equal(q3, q3_closed, tol):
-        raise VerificationError(
-            "q_{-3} recursion does not match its closed form "
-            f"(residual {symbol_residual(q3, q3_closed):.6g})"
-        )
+    require_symbols_equal(
+        q2, q2_closed, tol, "q_{-2} recursion does not match |V|^{-4}|xi|^{-2}"
+    )
+    require_symbols_equal(q3, q3_closed, tol, "q_{-3} recursion does not match its closed form")
     return q2, q3
 
 

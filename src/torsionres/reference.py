@@ -1,7 +1,8 @@
 """Closed-form per-term densities evaluated on scenario invariants.
 
-This is the second, symbol-calculus-free route: every per-term density is
-expressed through the pointwise invariants
+This is the second, symbol-calculus-free route: every per-term density
+reads only a ``ScenarioInvariants`` (with m and the scalar field), never a
+symbol.  It is expressed through the pointwise invariants
 
     g(a,b),  a(|V|^2) = a . d|V|^2,  grad_a V (Jacobian applied to a),
     div V,   |V|^2,
@@ -17,11 +18,6 @@ products.  Two flavours live here:
   forms (one trace-contraction sign repeated in two brackets, and one
   dropped sphere-integral factor); the report carries both sides so the
   discrepancy is documented rather than silently absorbed.
-
-Every form reads one ``ScenarioInvariants``: a report builds it once with
-``scenario_invariants`` and passes it to all four families (and the
-derived and printed term densities on to the forms built from them);
-called with the scenario alone, each family builds what it needs.
 
 All densities are rational multiples of the unit 2^m Vol(S^{2m-1}).
 """
@@ -66,8 +62,11 @@ class DensityValue:
 
 @dataclass
 class ScenarioInvariants:
-    """Every pairing the closed forms need, in the scenario's scalar field."""
+    """Every pairing the closed forms need, in the scenario's scalar field
+    ``field``, with the scenario's m: all that the closed forms read."""
 
+    m: int
+    field: object
     w: object  # |V|^2
     g_uv: object
     g_uw: object
@@ -126,6 +125,8 @@ def scenario_invariants(s: Scenario) -> ScenarioInvariants:
     )
     x_sum = g_uv * w.dot(X) - g_uw * v.dot(X) + u.dot(X) * g_vw
     return ScenarioInvariants(
+        m=s.m,
+        field=s.field,
         w=s.V.norm_sq(),
         g_uv=g_uv,
         g_uw=g_uw,
@@ -146,18 +147,16 @@ def scenario_invariants(s: Scenario) -> ScenarioInvariants:
     )
 
 
-def _w_power(inv: ScenarioInvariants, field, exponent: int):
+def _w_power(inv: ScenarioInvariants, exponent: int):
     """|V|^{2 exponent} as a field scalar (exponent may be negative)."""
-    acc = field.one
-    base = inv.w if exponent >= 0 else field.one / inv.w
+    acc = inv.field.one
+    base = inv.w if exponent >= 0 else inv.field.one / inv.w
     for _ in range(abs(exponent)):
         acc = acc * base
     return acc
 
 
-def reference_term_densities(
-    s: Scenario, inv: ScenarioInvariants | None = None
-) -> Dict[str, DensityValue]:
+def reference_term_densities(inv: ScenarioInvariants) -> Dict[str, DensityValue]:
     """Per-term densities the trace identities force; the pipeline's target.
 
     With A = -(1/2)(g(u,v) w(|V|^2) - ...), B/C the gradient combinations,
@@ -174,12 +173,9 @@ def reference_term_densities(
 
     These sum to exactly zero: every invariant combination cancels.
     """
-    fld = s.field
-    if inv is None:
-        inv = scenario_invariants(s)
-    m = s.m
-    wm1 = _w_power(inv, fld, -2 * m + 1)
-    wm2 = _w_power(inv, fld, -2 * m + 2)
+    fld, m = inv.field, inv.m
+    wm1 = _w_power(inv, -2 * m + 1)
+    wm2 = _w_power(inv, -2 * m + 2)
     a, b, c = inv.a_sum, inv.b_sum, inv.c_sum
     dd = inv.div * inv.div_alt
     t1 = inv.t1
@@ -198,30 +194,23 @@ def reference_term_densities(
 
 
 def paper_term_densities(
-    s: Scenario,
-    inv: ScenarioInvariants | None = None,
-    reference: Dict[str, DensityValue] | None = None,
+    inv: ScenarioInvariants, reference: Dict[str, DensityValue]
 ) -> Dict[str, DensityValue]:
     """The per-term closed forms exactly as printed.
 
     They differ from the derived forms in three places: the h1 and k2
     brackets carry all-minus divergence terms (one alternating sign lost),
     and l3 carries coefficient -1/2 where the contraction yields -m.
-    ``reference`` is ``reference_term_densities(s)``, which supplies the
+    ``reference`` is ``reference_term_densities(inv)``, which supplies the
     other five terms.
     """
-    fld = s.field
-    if inv is None:
-        inv = scenario_invariants(s)
-    if reference is None:
-        reference = reference_term_densities(s, inv)
-    m = s.m
-    wm1 = _w_power(inv, fld, -2 * m + 1)
+    fld, m = inv.field, inv.m
+    wm1 = _w_power(inv, -2 * m + 1)
     out = dict(reference)
     a, b, c = inv.a_sum, inv.b_sum, inv.c_sum
     d_all = inv.div * inv.div_all
     out["h1"] = DensityValue(
-        fld.i * _w_power(inv, fld, -2 * m + 2) * inv.x_sum
+        fld.i * _w_power(inv, -2 * m + 2) * inv.x_sum
         - wm1 * (a + b + c - d_all),
         m,
     )
@@ -231,36 +220,28 @@ def paper_term_densities(
 
 
 def paper_group_densities(
-    s: Scenario,
-    inv: ScenarioInvariants | None = None,
-    printed: Dict[str, DensityValue] | None = None,
+    inv: ScenarioInvariants, printed: Dict[str, DensityValue]
 ) -> Dict[str, DensityValue]:
     """The printed group values: the h1 bracket, the summed l-terms, and
     the k-term sum (whose printed form keeps only two divergence terms).
-    ``printed`` is ``paper_term_densities(s)``."""
-    fld = s.field
-    if inv is None:
-        inv = scenario_invariants(s)
-    m = s.m
-    terms = paper_term_densities(s, inv) if printed is None else printed
-    h2 = terms["l1"] + terms["l2"] + terms["l3"] + terms["l4"] + terms["l5"]
-    wm1 = _w_power(inv, fld, -2 * m + 1)
+    ``printed`` is ``paper_term_densities(inv, ...)``."""
+    fld, m = inv.field, inv.m
+    h2 = printed["l1"] + printed["l2"] + printed["l3"] + printed["l4"] + printed["l5"]
+    wm1 = _w_power(inv, -2 * m + 1)
     two = fld.of(2)
     h3 = DensityValue(
         wm1 * (two * inv.a_sum + two * inv.b_sum - two * inv.div * (inv.s1 + inv.s3)),
         m,
     )
-    return {"h1": terms["h1"], "h2": h2, "h3": h3}
+    return {"h1": printed["h1"], "h2": h2, "h3": h3}
 
 
-def theorem_density(s: Scenario, inv: ScenarioInvariants | None = None) -> DensityValue:
+def theorem_density(inv: ScenarioInvariants) -> DensityValue:
     """The final printed closed form:
 
         (2m-3)/2 |V|^{-4m+2} (g(u,v) w(|V|^2) - g(u,w) v(|V|^2) + g(v,w) u(|V|^2))
 
     in units of 2^m Vol(S^{2m-1})."""
-    fld = s.field
-    if inv is None:
-        inv = scenario_invariants(s)
-    coeff = fld.of(Fraction(2 * s.m - 3, 2))
-    return DensityValue(coeff * _w_power(inv, fld, -2 * s.m + 1) * inv.t1, s.m)
+    m = inv.m
+    coeff = inv.field.of(Fraction(2 * m - 3, 2))
+    return DensityValue(coeff * _w_power(inv, -2 * m + 1) * inv.t1, m)

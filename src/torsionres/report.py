@@ -37,7 +37,7 @@ from .reference import (
     theorem_density,
 )
 from .scalars import GaussianRational
-from .torsion import TERM_NAMES, TermBreakdown, assemble_density
+from .torsion import TERM_NAMES, TermBreakdown, assemble_density, sum_terms
 
 SCHEMA_VERSION = 1
 
@@ -166,10 +166,10 @@ def build_report(
     breakdown = assemble_density(s, cmp_tol)
     terms = breakdown.terms
     inv = scenario_invariants(s)
-    reference = reference_term_densities(s, inv)
-    printed = paper_term_densities(s, inv, reference)
-    groups = paper_group_densities(s, inv, printed)
-    theorem = theorem_density(s, inv)
+    reference = reference_term_densities(inv)
+    printed = paper_term_densities(inv, reference)
+    groups = paper_group_densities(inv, printed)
+    theorem = theorem_density(inv)
 
     if perturb is not None:
         term, delta = perturb
@@ -183,14 +183,13 @@ def build_report(
         comparisons.append(
             Comparison(f"term:{name}:paper", terms[name], printed[name], False, cmp_tol)
         )
-    h2_machine = terms["l1"]
-    for t in ("l2", "l3", "l4", "l5"):
-        h2_machine = h2_machine + terms[t]
+    h2_machine = sum_terms(terms, ("l1", "l2", "l3", "l4", "l5"))
+    h3_machine = sum_terms(terms, ("k1", "k2"))
     comparisons.extend(
         [
             Comparison("group:h1:paper", terms["h1"], groups["h1"], False, cmp_tol),
             Comparison("group:h2:paper", h2_machine, groups["h2"], False, cmp_tol),
-            Comparison("group:h3:paper", terms["k1"] + terms["k2"], groups["h3"], False, cmp_tol),
+            Comparison("group:h3:paper", h3_machine, groups["h3"], False, cmp_tol),
             Comparison("assembled:theorem", breakdown.assembled, theorem, False, cmp_tol),
         ]
     )

@@ -277,16 +277,12 @@ def _admits(cap: int, lowest_degree: int | None):
     return lambda a, b: a[0] + b[0] <= cap and a[1] + b[1] >= lowest
 
 
-def _row_pair_rule():
-    """The ``combine`` rule of a product of symbol rows: the output key is
+def _symbol_pair_key(ka, kb):
+    """The key rule of a product of symbol rows: the output key is
     ``((xi exponents, norm power), x-monomial)``.  Only admitted pairs get
     here: ``accumulate_admitted`` leaves out those past the jet cap and
     those below the lowest degree (``_admits``)."""
-
-    def combine(ka, kb):
-        return (_mono_mul(ka[0], kb[0]), ka[1] + kb[1]), _mono_mul(ka[3], kb[3])
-
-    return combine
+    return (_mono_mul(ka[0], kb[0]), ka[1] + kb[1]), _mono_mul(ka[3], kb[3])
 
 
 def _symbol_of_elements(like: Symbol, elems) -> Symbol:
@@ -311,7 +307,7 @@ def symbol_product(a: Symbol, b: Symbol, lowest_degree: int | None = None) -> Sy
     xs, ys, d = operand_rows(_symbol_items(a), _symbol_items(b))
     acc: Dict = {}
     admits = _admits(a.max_degree, lowest_degree)
-    accumulate_admitted(acc, xs, ys, _symbol_label, admits, _row_pair_rule())
+    accumulate_admitted(acc, xs, ys, _symbol_label, admits, _symbol_pair_key)
     return _symbol_of_elements(a, reduce(_first_dim(a, b), acc, d))
 
 
@@ -372,7 +368,6 @@ def symbol_compose(
     p_rows, q_rows, d = operand_rows(_symbol_items(p), _symbol_items(q))
     scale = math.lcm(*(fact for _, _, fact in alphas))
     admits = _admits(p.max_degree, lowest_degree)
-    combine = _row_pair_rule()
     acc: Dict = {}
     for order, mus, fact in alphas:
         dq = q_rows
@@ -389,7 +384,7 @@ def symbol_compose(
             continue
         c = scale // fact
         dp = [(key, *_row_times(q, row, c, order)) for key, q, row in dp]
-        accumulate_admitted(acc, dp, dq, _symbol_label, admits, combine)
+        accumulate_admitted(acc, dp, dq, _symbol_label, admits, _symbol_pair_key)
     return _symbol_of_elements(p, reduce(_first_dim(p, q), acc, d * scale))
 
 

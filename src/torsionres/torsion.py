@@ -63,6 +63,7 @@ from .geometry import (
     Scenario,
     VerificationError,
     plain_dirac_symbols,
+    require_symbols_equal,
     rescaled_dirac_square_sigma1_pieces,
     rescaled_dirac_square_symbols,
     rescaled_dirac_symbols,
@@ -77,9 +78,7 @@ from .symbols import (
     symbol_compose,
     symbol_invert_order2,
     symbol_product,
-    symbol_residual,
     symbol_square_to_invert,
-    symbols_equal,
 )
 
 TERM_NAMES = ("h1", "l1", "l2", "l3", "l4", "l5", "k1", "k2")
@@ -130,9 +129,7 @@ _SUB_PIECE_TO_TERM = {
 }
 
 
-def pipeline_symbols(
-    s: Scenario, tol: float = 0.0, dirac: Symbol | None = None
-) -> Dict[str, Symbol]:
+def pipeline_symbols(s: Scenario, dirac: Symbol, tol: float = 0.0) -> Dict[str, Symbol]:
     """Build and cross-check the degree -2m symbols of h1, l1..l5, k1, k2,
     in ``TERM_NAMES`` order and at the base point.
 
@@ -149,15 +146,12 @@ def pipeline_symbols(
     asserted to add up to m q_{-2}^{m-1} q_{-3}; the H3 split is asserted to
     recombine into -i sum_j d_xi(sigma_{-2m}) d_x(sigma_1).
 
-    ``dirac`` is ``rescaled_dirac_symbols(s)`` when the caller has built
-    it already; it is only read.
+    ``dirac`` is ``rescaled_dirac_symbols(s)``; it is only read.
     """
     n, m, fld = s.n, s.m, s.field
-    if dirac is None:
-        dirac = rescaled_dirac_symbols(s)
     frags = rescaled_dirac_square_sigma1_pieces(s)
     dsq = rescaled_dirac_square_symbols(s, frags)
-    q2, q3 = rescaled_dirac_inverse_symbols(s, tol, square=dsq, pieces=frags)
+    q2, q3 = rescaled_dirac_inverse_symbols(s, dsq, frags, tol)
 
     # the only x-derivatives (constant, the jets being first order), then
     # everything at the base point
@@ -190,13 +184,11 @@ def pipeline_symbols(
     recombined = Symbol.zero(n, 1, fld)
     for piece in sub_pieces.values():
         recombined = recombined + piece
-    expected = symbol_product(head, q3)
-    if not symbols_equal(recombined, expected, tol):
-        raise VerificationError(
-            "sub-leading power symbol: the fragments of the square and of its "
-            "inverse do not add up to m q_{-2}^{m-1} q_{-3} "
-            f"(residual {symbol_residual(recombined, expected):.6g})"
-        )
+    require_symbols_equal(
+        recombined, symbol_product(head, q3), tol,
+        "sub-leading power symbol: the fragments of the square and of its "
+        "inverse do not add up to m q_{-2}^{m-1} q_{-3}",
+    )
     sub_pieces["power_cross"] = cross.scale(minus_i)
 
     # H3 split by which c(V) factor receives the x-derivative; c(e_j)c(V0)
@@ -230,12 +222,10 @@ def pipeline_symbols(
         check = check + symbol_product(dxi_top, dsigma1[mu])
     k1_sym = k1_sym.scale(minus_i)
     k2_sym = k2_sym.scale(minus_i)
-    k_sum, expected = k1_sym + k2_sym, check.scale(minus_i)
-    if not symbols_equal(k_sum, expected, tol):
-        raise VerificationError(
-            "H3 split does not recombine at the base point "
-            f"(residual {symbol_residual(k_sum, expected):.6g})"
-        )
+    require_symbols_equal(
+        k1_sym + k2_sym, check.scale(minus_i), tol,
+        "H3 split does not recombine at the base point",
+    )
 
     # the last product of each term with sigma_0(T) or sigma_1(T)
     at_origin = dirac.evaluate_jets_at_origin()
@@ -256,18 +246,21 @@ def trace_terms(
 
 def term_densities(s: Scenario, tol: float = 0.0) -> Dict[str, DensityValue]:
     """Machine values of h1, l1..l5, k1, k2 for one scenario."""
-    return trace_terms(pipeline_symbols(s, tol), torsion_prefactor_element(s), s.m)
+    symbols = pipeline_symbols(s, rescaled_dirac_symbols(s), tol)
+    return trace_terms(symbols, torsion_prefactor_element(s), s.m)
 
 
-def _iterated_composition_density(
+def composition_oracle_density(
     dirac: Symbol, prefactor: CliffordElement, m: int
 ) -> DensityValue:
-    """Compose, invert, power up by composition, compose once more, trace.
+    """The fully generic route: compose the operator symbol ``dirac`` with
+    itself, invert, power up by composition, compose once more, and trace
+    against ``prefactor``.
 
     Only sigma_2 of the square keeps its jets, because the inverse
     differentiates q_{-2}; sigma_1 of the square is composed at the base
     point, where q_{-3} is kept.  Every later composition is taken at the
-    base point.
+    base point.  ``dirac`` is only read.
     """
     n = 2 * m
     q2, q3 = symbol_invert_order2(symbol_square_to_invert(dirac), n)
@@ -277,25 +270,6 @@ def _iterated_composition_density(
         acc = symbol_compose(acc, q, -2 * factors - 1, at_origin=True)
     total = symbol_compose(acc, dirac, -n, at_origin=True).take_degree(-n)
     return trace_integrate(total, prefactor, m, dirac.field)
-
-
-def composition_oracle_density(
-    s: Scenario,
-    dirac: Symbol | None = None,
-    prefactor: CliffordElement | None = None,
-) -> DensityValue:
-    """Fully generic route for the rescaled operator: the iterated
-    composition of its symbol, traced against c(V)c(u)c(v)c(w)c(V).
-
-    ``dirac`` and ``prefactor`` are ``rescaled_dirac_symbols(s)`` and
-    ``torsion_prefactor_element(s)`` when the caller has built them
-    already; they are only read.
-    """
-    if dirac is None:
-        dirac = rescaled_dirac_symbols(s)
-    if prefactor is None:
-        prefactor = torsion_prefactor_element(s)
-    return _iterated_composition_density(dirac, prefactor, s.m)
 
 
 def sum_terms(terms: Dict[str, DensityValue], names: Sequence[str] = TERM_NAMES) -> DensityValue:
@@ -323,9 +297,9 @@ def assemble_density(s: Scenario, tol: float = 0.0) -> TermBreakdown:
     from one sigma(T) and one prefactor."""
     dirac = rescaled_dirac_symbols(s)
     prefactor = torsion_prefactor_element(s)
-    symbols = pipeline_symbols(s, tol, dirac)
+    symbols = pipeline_symbols(s, dirac, tol)
     terms = trace_terms(symbols, prefactor, s.m)
-    oracle = composition_oracle_density(s, dirac, prefactor)
+    oracle = composition_oracle_density(dirac, prefactor, s.m)
     return TermBreakdown(terms, sum_terms(terms), oracle, symbols)
 
 
@@ -343,7 +317,7 @@ def plain_dirac_torsion_density(
     pre = clifford_product_seq(
         [clifford_of_vector(u), clifford_of_vector(v), clifford_of_vector(w)]
     )
-    return _iterated_composition_density(plain_dirac_symbols(m, mode), pre, m)
+    return composition_oracle_density(plain_dirac_symbols(m, mode), pre, m)
 
 
 # ---------------------------------------------------------------------------
@@ -385,23 +359,15 @@ def trace_pairing_formula(vectors: Sequence[FrameVector], m: int, field):
 
 
 def lemma33_trace_identity(
-    k: int,
-    vectors: Sequence[FrameVector],
-    m: int,
-    field,
-    product: CliffordElement | None = None,
+    k: int, vectors: Sequence[FrameVector], m: int, field, product: CliffordElement
 ):
-    """Evaluate tr of a k-fold Clifford product both symbolically and by
-    the pairing formula, assert equality, and return the value.
-
-    ``product`` is the chain c(v_1)...c(v_k) when the caller already has
-    it; without it the chain is built here."""
+    """Evaluate tr of the k-fold Clifford product ``product`` = c(v_1)...c(v_k)
+    both symbolically and by the pairing formula on ``vectors``, assert
+    equality, and return the value."""
     if k not in (2, 4, 6):
         raise ValueError(f"trace identity defined for k in {{2,4,6}}, got {k}")
     if len(vectors) != k:
         raise ValueError(f"expected {k} vectors, got {len(vectors)}")
-    if product is None:
-        product = clifford_product_seq([clifford_of_vector(x) for x in vectors])
     symbolic = clifford_trace(product, m)
     if not bool(symbolic):
         symbolic = field.of(0)

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from torsionres.clifford import FrameVector
-from torsionres.geometry import Scenario, VectorFieldJet
+from torsionres.geometry import (
+    Scenario,
+    VectorFieldJet,
+    rescaled_dirac_inverse_symbols,
+    rescaled_dirac_square_sigma1_pieces,
+    rescaled_dirac_square_symbols,
+)
 from torsionres.scalars import EXACT
 
 
@@ -14,6 +20,19 @@ def exact_vector(*components) -> FrameVector:
 
 def small_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def square_symbols(s: Scenario):
+    """The closed-form symbols of the squared rescaled operator."""
+    return rescaled_dirac_square_symbols(s, rescaled_dirac_square_sigma1_pieces(s))
+
+
+def inverse_symbols(s: Scenario, tol: float = 0.0):
+    """q_{-2} and q_{-3} of the squared rescaled operator, checked against
+    their closed forms."""
+    pieces = rescaled_dirac_square_sigma1_pieces(s)
+    square = rescaled_dirac_square_symbols(s, pieces)
+    return rescaled_dirac_inverse_symbols(s, square, pieces, tol)
 
 
 @pytest.fixture

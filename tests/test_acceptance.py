@@ -86,10 +86,10 @@ def test_criterion_01_trace_identities():
                 for _ in range(6)
             ]
             for k in (2, 4, 6):
-                value = lemma33_trace_identity(k, vectors[:k], m, EXACT)
                 prod = clifford_of_vector(vectors[0])
                 for v in vectors[1:k]:
                     prod = prod * clifford_of_vector(v)
+                value = lemma33_trace_identity(k, vectors[:k], m, EXACT, prod)
                 worst = max(
                     worst,
                     abs(np.trace(represent_element(prod, gammas)) - complex(value)),
@@ -166,7 +166,7 @@ def test_criterion_04_square_and_inverse_symbols():
             composed.take_degree(1).evaluate_jets_at_origin(),
             closed.take_degree(1).evaluate_jets_at_origin(),
         )
-        q2, q3 = rescaled_dirac_inverse_symbols(s, square=closed, pieces=pieces)
+        q2, q3 = rescaled_dirac_inverse_symbols(s, closed, pieces)
         li = symbol_compose(q2 + q3, closed, -1)
         assert symbols_equal(li.take_degree(0), norm_squared_symbol(s.n, 1, s.field, s.n, 0))
         assert li.take_degree(-1).evaluate_jets_at_origin().is_zero()
@@ -203,9 +203,9 @@ def test_criterion_06_per_term_densities():
     for _ in range(50):
         s = random_scenario(2, "exact", rng)
         td = term_densities(s)
-        ref = reference_term_densities(s)
-        printed = paper_term_densities(s)
         inv = scenario_invariants(s)
+        ref = reference_term_densities(inv)
+        printed = paper_term_densities(inv, ref)
         wm1 = EXACT.one
         for _ in range(2 * s.m - 1):
             wm1 = wm1 / inv.w
@@ -221,7 +221,7 @@ def test_criterion_06_per_term_densities():
     for _ in range(25):
         s = random_scenario(3, "float", rng)
         td = term_densities(s, tol=1e-9)
-        ref = reference_term_densities(s)
+        ref = reference_term_densities(scenario_invariants(s))
         for name in TERM_NAMES:
             a, b = complex(td[name].value), complex(ref[name].value)
             worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
@@ -253,13 +253,14 @@ def test_criterion_08_theorem_end_to_end(derived_scenario, capsys):
     is emitted (the criterion's documented-discrepancy branch)."""
     t0 = time.time()
     bd = assemble_density(derived_scenario)
-    theorem = theorem_density(derived_scenario)
+    inv = scenario_invariants(derived_scenario)
+    theorem = theorem_density(inv)
     assert theorem.value == EXACT.of(1)
     assert abs(theorem.float_total() - 78.95683520871486) <= 1e-9
     assert bd.assembled.value == bd.composition_oracle.value == EXACT.of(0)
 
     lines = ["    per-term discrepancy table (machine vs printed, units 2^m Vol(S^{2m-1})):"]
-    printed = paper_term_densities(derived_scenario)
+    printed = paper_term_densities(inv, reference_term_densities(inv))
     for name in TERM_NAMES:
         machine = bd.terms[name].value
         paper = printed[name].value
@@ -309,7 +310,7 @@ def test_criterion_09_cancellation_properties():
     assert all(not bool(c) for c in s_const.V.d_norm_sq().components)
     bd_const = assemble_density(s_const)
     assert bd_const.assembled.value == EXACT.of(0)
-    assert theorem_density(s_const).value == EXACT.of(0)
+    assert theorem_density(scenario_invariants(s_const)).value == EXACT.of(0)
 
     for m in (2, 3):
         n = 2 * m

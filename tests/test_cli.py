@@ -12,18 +12,15 @@ from torsionres import checks, torsion
 from torsionres.clifford import FrameVector
 from torsionres.checks import scenario_invariant_suite
 from torsionres.cli import main
-from torsionres.geometry import (
-    Scenario,
-    VectorFieldJet,
-    random_scenario,
-    rescaled_dirac_inverse_symbols,
-)
+from torsionres.geometry import Scenario, VectorFieldJet, random_scenario
 from torsionres.reference import DensityValue
 from torsionres.report import build_report, density_from_json, report_to_text
 from torsionres.scalars import EXACT, FLOAT
 from torsionres.scenario_io import ScenarioError, load_scenario, parse_scenario
 from torsionres.symbols import symbols_equal
 from torsionres.torsion import TERM_NAMES, term_densities
+
+from conftest import inverse_symbols
 
 DERIVED = {
     "schema": 1,
@@ -490,9 +487,9 @@ def test_float_sweep_gates_like_the_report_at_small_terms(monkeypatch):
 
     derived = checks.reference_term_densities
 
-    def shifted(scenario, *args):
-        ref = dict(derived(scenario, *args))
-        ref["l4"] = DensityValue(ref["l4"].value + shift, scenario.m)
+    def shifted(inv):
+        ref = dict(derived(inv))
+        ref["l4"] = DensityValue(ref["l4"].value + shift, inv.m)
         return ref
 
     monkeypatch.setattr(checks, "reference_term_densities", shifted)
@@ -506,7 +503,7 @@ def test_symbols_equal_is_relative_at_small_coefficients():
     relative error of 1e-4 fails a 1e-9 comparison (an absolute floor of
     1.0 let it pass), while rounding-sized differences still pass."""
     s = _scaled(random_scenario(2, "float", random.Random(5)), 10, FLOAT)
-    q2, _ = rescaled_dirac_inverse_symbols(s, 1e-9)
+    q2, _ = inverse_symbols(s, 1e-9)
     assert symbols_equal(q2, q2.scale(1 + 1e-4), 1e-9) is False
     assert symbols_equal(q2, q2.scale(1 + 1e-12), 1e-9) is True
 
@@ -517,9 +514,9 @@ def test_sweep_trial_runs_the_oracle_once(monkeypatch):
     calls = []
     oracle = torsion.composition_oracle_density
 
-    def counted(s, *args):
-        calls.append(s)
-        return oracle(s, *args)
+    def counted(*args):
+        calls.append(args)
+        return oracle(*args)
 
     monkeypatch.setattr(torsion, "composition_oracle_density", counted)
     out = scenario_invariant_suite(random_scenario(2, "exact", random.Random(3)), random.Random(3))

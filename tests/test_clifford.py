@@ -140,9 +140,12 @@ def test_trace_identity_values(derived_scenario):
     e1 = exact_vector(1, 0, 0, 0)
     from torsionres.torsion import lemma33_trace_identity
 
-    assert lemma33_trace_identity(2, [e1, e1], 2, EXACT) == EXACT.of(-4)
-    assert lemma33_trace_identity(4, [e1] * 4, 2, EXACT) == EXACT.of(4)
-    assert lemma33_trace_identity(6, [e1] * 6, 2, EXACT) == EXACT.of(-4)
+    def chain(k):
+        return clifford_product_seq([clifford_of_vector(e1)] * k)
+
+    assert lemma33_trace_identity(2, [e1, e1], 2, EXACT, chain(2)) == EXACT.of(-4)
+    assert lemma33_trace_identity(4, [e1] * 4, 2, EXACT, chain(4)) == EXACT.of(4)
+    assert lemma33_trace_identity(6, [e1] * 6, 2, EXACT, chain(6)) == EXACT.of(-4)
 
 
 # -- the integer kernel of exact products ---------------------------------------

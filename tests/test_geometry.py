@@ -31,7 +31,7 @@ from torsionres.symbols import (
     symbols_equal,
 )
 
-from conftest import exact_vector
+from conftest import exact_vector, inverse_symbols, square_symbols
 
 
 # -- curvature ---------------------------------------------------------------
@@ -368,10 +368,10 @@ def test_generic_sigma0_contains_gradient():
 
 def test_constant_v_square_flat():
     s = _constant_v_scenario()
-    sym = rescaled_dirac_square_symbols(s)
+    sym = square_symbols(s)
     assert symbols_equal(sym.take_degree(2), norm_squared_symbol(4, 1, EXACT, 4, 1))
     assert sym.take_degree(1).is_zero()
-    q2, q3 = rescaled_dirac_inverse_symbols(s)
+    q2, q3 = inverse_symbols(s)
     assert symbols_equal(q2, norm_squared_symbol(4, 1, EXACT, 4, -1))
     assert q3.evaluate_jets_at_origin().is_zero()
 
@@ -380,16 +380,17 @@ def test_inverse_mismatch_reports_its_residual():
     """A square that is not the operator's: the failed q_{-2} and q_{-3}
     checks state the largest coefficient of their difference."""
     s = _constant_v_scenario()
-    square = rescaled_dirac_square_symbols(s)
+    pieces = rescaled_dirac_square_sigma1_pieces(s)
+    square = rescaled_dirac_square_symbols(s, pieces)
     # twice the square inverts to |xi|^{-2}/2 against the closed |xi|^{-2}
     with pytest.raises(VerificationError, match=r"q_\{-2\}.*\(residual 0\.5\)"):
-        rescaled_dirac_inverse_symbols(s, square=square.scale(EXACT.of(2)))
+        rescaled_dirac_inverse_symbols(s, square.scale(EXACT.of(2)), pieces)
     # an extra sigma_1 = 3 xi_1 adds q_{-3} = -3 xi_1 |xi|^{-4}; the closed form is 0
     extra = Symbol(4, 1, EXACT, {
         ((1, 0, 0, 0), 0): Jet.constant(4, 1, CliffordElement.scalar(4, EXACT.of(3)))
     })
     with pytest.raises(VerificationError, match=r"q_\{-3\}.*\(residual 3\)"):
-        rescaled_dirac_inverse_symbols(s, square=square + extra)
+        rescaled_dirac_inverse_symbols(s, square + extra, pieces)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -400,7 +401,7 @@ def test_square_composition_matches_closed_form(m):
     for _ in range(3):
         s = random_scenario(m, "exact", rng)
         dirac = rescaled_dirac_symbols(s)
-        closed = rescaled_dirac_square_symbols(s)
+        closed = square_symbols(s)
         composed = symbol_compose(dirac, dirac, 1)
         assert symbols_equal(composed.take_degree(2), closed.take_degree(2))
         assert symbols_equal(
@@ -433,7 +434,7 @@ def test_inverse_recursion_matches_closed_form(m):
     rng = random.Random(50 + m)
     for _ in range(3):
         s = random_scenario(m, "exact", rng)
-        rescaled_dirac_inverse_symbols(s)  # raises VerificationError on mismatch
+        inverse_symbols(s)  # raises VerificationError on mismatch
 
 
 def test_left_inverse_property():
@@ -442,7 +443,7 @@ def test_left_inverse_property():
         s = random_scenario(m, "exact", rng)
         pieces = rescaled_dirac_square_sigma1_pieces(s)
         square = rescaled_dirac_square_symbols(s, pieces)
-        q2, q3 = rescaled_dirac_inverse_symbols(s, square=square, pieces=pieces)
+        q2, q3 = rescaled_dirac_inverse_symbols(s, square, pieces)
         li = symbol_compose(q2 + q3, square, -1)
         assert symbols_equal(li.take_degree(0), norm_squared_symbol(s.n, 1, s.field, s.n, 0))
         assert li.take_degree(-1).evaluate_jets_at_origin().is_zero()
@@ -473,11 +474,11 @@ def test_scaling_of_leading_symbols():
         ),
         X=s.X, u=s.u, v=s.v, w=s.w,
     )
-    sym = rescaled_dirac_square_symbols(s)
-    sym_scaled = rescaled_dirac_square_symbols(scaled)
+    sym = square_symbols(s)
+    sym_scaled = square_symbols(scaled)
     assert symbols_equal(sym_scaled.take_degree(2), sym.take_degree(2).scale(EXACT.of(16)))
-    q2, _ = rescaled_dirac_inverse_symbols(s)
-    q2s, _ = rescaled_dirac_inverse_symbols(scaled)
+    q2, _ = inverse_symbols(s)
+    q2s, _ = inverse_symbols(scaled)
     assert symbols_equal(q2s, q2.scale(EXACT.of(Fraction(1, 16))))
 
 

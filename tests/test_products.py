@@ -351,23 +351,18 @@ def test_no_row_pair_past_the_jet_cap_reaches_a_key_rule(monkeypatch):
     up to more than the jet cap before the kernel asks the key rule: over the
     inversion of a curved Laplacian (quadratic jets), neither rule sees one."""
     jet_degrees, symbol_degrees = [], []
-    jet_key, row_rule = jets._jet_pair_key, symbols._row_pair_rule
+    jet_key, symbol_key = jets._jet_pair_key, symbols._symbol_pair_key
 
     def watched_jet_key(ka, kb):
         jet_degrees.append(sum(ka[0]) + sum(kb[0]))
         return jet_key(ka, kb)
 
-    def watched_row_rule(*args):
-        combine = row_rule(*args)
-
-        def watched(ka, kb):
-            symbol_degrees.append(sum(ka[3]) + sum(kb[3]))
-            return combine(ka, kb)
-
-        return watched
+    def watched_symbol_key(ka, kb):
+        symbol_degrees.append(sum(ka[3]) + sum(kb[3]))
+        return symbol_key(ka, kb)
 
     monkeypatch.setattr(jets, "_jet_pair_key", watched_jet_key)
-    monkeypatch.setattr(symbols, "_row_pair_rule", watched_row_rule)
+    monkeypatch.setattr(symbols, "_symbol_pair_key", watched_symbol_key)
     curv = random_curvature(4, random.Random(5))
     symbol_invert_order2(laplacian_symbol(build_metric_jets(curv)), 4)
     cap = 2
@@ -391,7 +386,7 @@ def test_no_row_pair_below_the_lowest_degree_reaches_a_key_rule(monkeypatch):
     the key rule: over exact m=2 and m=3 reports and the inversion of a
     curved Laplacian, the rule sees pairs, but none below."""
     floors, seen, below = [], [], []
-    product, compose, row_rule = symbol_product, symbol_compose, symbols._row_pair_rule
+    product, compose, symbol_key = symbol_product, symbol_compose, symbols._symbol_pair_key
 
     def watched_product(a, b, lowest_degree=None):
         floors.append(lowest_degree)
@@ -407,21 +402,16 @@ def test_no_row_pair_below_the_lowest_degree_reaches_a_key_rule(monkeypatch):
         finally:
             floors.pop()
 
-    def watched_row_rule(*args):
-        combine = row_rule(*args)
+    def watched_symbol_key(ka, kb):
         floor = floors[-1]
-
-        def watched(ka, kb):
-            seen.append(ka[2] + kb[2])
-            if floor is not None and ka[2] + kb[2] < floor:
-                below.append((ka, kb, floor))
-            return combine(ka, kb)
-
-        return watched
+        seen.append(ka[2] + kb[2])
+        if floor is not None and ka[2] + kb[2] < floor:
+            below.append((ka, kb, floor))
+        return symbol_key(ka, kb)
 
     _patch_everywhere(monkeypatch, product, watched_product)
     _patch_everywhere(monkeypatch, compose, watched_compose)
-    monkeypatch.setattr(symbols, "_row_pair_rule", watched_row_rule)
+    monkeypatch.setattr(symbols, "_symbol_pair_key", watched_symbol_key)
     for m in (2, 3):
         build_report(random_scenario(m, "exact", random.Random(520 + m)))
     curv = random_curvature(4, random.Random(5))

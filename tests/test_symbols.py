@@ -9,7 +9,6 @@ from torsionres.geometry import (
     laplacian_symbol,
     random_curvature,
     random_scenario,
-    rescaled_dirac_square_symbols,
     rescaled_dirac_symbols,
 )
 from torsionres.jets import Jet
@@ -25,7 +24,7 @@ from torsionres.symbols import (
     symbols_equal,
 )
 
-from conftest import small_rational
+from conftest import small_rational, square_symbols
 
 N = 4
 
@@ -182,7 +181,7 @@ def test_inverse_power_matches_iterated_composition(m):
     """The closed power expansion equals literal iterated composition."""
     rng = random.Random(100 + m)
     s = random_scenario(m, "exact", rng)
-    square = rescaled_dirac_square_symbols(s)
+    square = square_symbols(s)
     q2, q3 = symbol_invert_order2(square, s.n)
     top_f, sub_f = inverse_power_symbols(q2, q3, m)
     top_c, sub_c = power_by_composition(q2, q3, m)
@@ -195,7 +194,7 @@ def test_composition_associativity_at_base_point():
     both sides carry fully."""
     rng = random.Random(7)
     s = random_scenario(3, "exact", rng)
-    square = rescaled_dirac_square_symbols(s)
+    square = square_symbols(s)
     q2, q3 = symbol_invert_order2(square, s.n)
     q = q2 + q3
     left = symbol_compose(symbol_compose(q, q, -5), q, -7)
@@ -305,7 +304,7 @@ def _check_q3_valid_order(p):
 def test_q3_is_full_formula_to_valid_order_rescaled(m):
     rng = random.Random(310 + m)
     for _ in range(2):
-        _check_q3_valid_order(rescaled_dirac_square_symbols(random_scenario(m, "exact", rng)))
+        _check_q3_valid_order(square_symbols(random_scenario(m, "exact", rng)))
 
 
 def test_q3_is_full_formula_to_valid_order_laplacian():

@@ -1,3 +1,4 @@
+import inspect
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -103,17 +104,17 @@ def test_derived_scenario_assembly(derived_scenario):
     bd = assemble_density(derived_scenario)
     assert bd.assembled.value == EXACT.of(0)
     assert bd.composition_oracle.value == EXACT.of(0)
-    theorem = theorem_density(derived_scenario)
+    theorem = theorem_density(scenario_invariants(derived_scenario))
     assert theorem.value == EXACT.of(1)
     # 1 * 2^2 Vol(S^3) = 8 pi^2
     assert abs(theorem.float_total() - 78.95683520871486) <= 1e-9
 
 
 def test_closed_form_density_values(derived_scenario):
-    assert theorem_density(derived_scenario).value == EXACT.of(1)
+    assert theorem_density(scenario_invariants(derived_scenario)).value == EXACT.of(1)
     # d|V|^2 = 0 -> closed form 0
     s0 = _scenario(2, (1, 0, 0, 0), {}, (0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0))
-    assert theorem_density(s0).value == EXACT.of(0)
+    assert theorem_density(scenario_invariants(s0)).value == EXACT.of(0)
 
 
 def test_closed_form_scaling(derived_scenario):
@@ -128,7 +129,9 @@ def test_closed_form_scaling(derived_scenario):
         X=s.X, u=s.u, v=s.v, w=s.w,
     )
     # homogeneity degree -4m+4 in V
-    assert theorem_density(scaled).value == theorem_density(s).value * Fraction(1, 16)
+    assert theorem_density(scenario_invariants(scaled)).value == (
+        theorem_density(scenario_invariants(s)).value * Fraction(1, 16)
+    )
 
 
 # -- constant V ---------------------------------------------------------------
@@ -139,7 +142,7 @@ def test_constant_unit_v_everything_vanishes():
         s = _scenario(2, (1, 0, 0, 0), {}, x, (1, 1, 0, 0), (0, 1, 2, 0), (0, 0, 1, 0))
         bd = assemble_density(s)
         assert bd.assembled.value == EXACT.of(0)
-        assert theorem_density(s).value == EXACT.of(0)
+        assert theorem_density(scenario_invariants(s)).value == EXACT.of(0)
         if x == (0, 0, 0, 0):
             for name in TERM_NAMES:
                 assert bd.terms[name].value == EXACT.of(0), name
@@ -167,7 +170,7 @@ def test_terms_match_reference_closed_forms(m):
     for _ in range(3 if m == 3 else 6):
         s = random_scenario(m, "exact", rng)
         td = term_densities(s)
-        ref = reference_term_densities(s)
+        ref = reference_term_densities(scenario_invariants(s))
         for name in TERM_NAMES:
             assert td[name].value == ref[name].value, name
 
@@ -221,7 +224,7 @@ def test_term_symbols_do_not_depend_on_u_v_w(m, mode, seed):
     s = random_scenario(m, mode, rng)
     fresh = random_scenario(m, mode, rng)
     tol = 1e-9 if mode == "float" else 0.0
-    symbols = pipeline_symbols(s, tol)
+    symbols = pipeline_symbols(s, geometry.rescaled_dirac_symbols(s), tol)
     assert list(symbols) == list(TERM_NAMES)
     for derived in (
         replace(s, u=s.u.scale(s.field.of(2))),
@@ -259,10 +262,13 @@ def _coefficients(sym):
 
 
 def test_report_builds_each_input_once(monkeypatch):
-    """One report builds sigma(T), the prefactor and the scenario invariants
-    once each, and both symbol routes leave the shared sigma(T) as built."""
+    """One report builds sigma(T), the prefactor, the scenario invariants,
+    and the square's first-order pieces and symbols once each, and both
+    symbol routes leave the shared sigma(T) as built."""
     modules = (geometry, torsion, reference, report)
     diracs = _counted_calls(monkeypatch, geometry.rescaled_dirac_symbols, modules)
+    pieces = _counted_calls(monkeypatch, geometry.rescaled_dirac_square_sigma1_pieces, modules)
+    squares = _counted_calls(monkeypatch, geometry.rescaled_dirac_square_symbols, modules)
     prefactors = _counted_calls(monkeypatch, torsion.torsion_prefactor_element, modules)
     invariants = _counted_calls(monkeypatch, reference.scenario_invariants, modules)
     built = []
@@ -276,7 +282,34 @@ def test_report_builds_each_input_once(monkeypatch):
     doc = report.build_report(random_scenario(2, "exact", random.Random(7)))
     assert doc["pass"] is True
     assert (len(diracs), len(prefactors), len(invariants)) == (1, 1, 1)
+    assert (len(pieces), len(squares)) == (1, 1)
     assert built == [_coefficients(diracs[0])]
+
+
+ROUTE_STEPS = (
+    torsion.pipeline_symbols,
+    torsion.composition_oracle_density,
+    torsion.lemma33_trace_identity,
+    geometry.rescaled_dirac_square_symbols,
+    geometry.rescaled_dirac_inverse_closed_forms,
+    geometry.rescaled_dirac_inverse_symbols,
+    reference.reference_term_densities,
+    reference.paper_term_densities,
+    reference.paper_group_densities,
+    reference.theorem_density,
+)
+
+
+def test_route_steps_take_every_input_as_a_required_argument():
+    """A route step has one call form: no input it reads has a default that
+    builds it when missing.  Only a tolerance may have a default."""
+    defaulted = [
+        (fn.__name__, name)
+        for fn in ROUTE_STEPS
+        for name, param in inspect.signature(fn).parameters.items()
+        if param.default is not inspect.Parameter.empty and name != "tol"
+    ]
+    assert defaulted == []
 
 
 
@@ -295,7 +328,9 @@ def test_outer_argument_symmetry():
     s = random_scenario(2, "exact", rng)
     s_wu = Scenario(m=s.m, mode=s.mode, V=s.V, X=s.X, u=s.w, v=s.v, w=s.u)
     assert assemble_density(s).assembled.value == assemble_density(s_wu).assembled.value
-    assert theorem_density(s).value == theorem_density(s_wu).value
+    assert theorem_density(scenario_invariants(s)).value == (
+        theorem_density(scenario_invariants(s_wu)).value
+    )
 
 
 def test_jacobian_reduction_of_theorem_value():
@@ -306,7 +341,9 @@ def test_jacobian_reduction_of_theorem_value():
 
     s2 = _perturbed_jacobian(s, rng)
     assert s.V.d_norm_sq().components == s2.V.d_norm_sq().components
-    assert theorem_density(s).value == theorem_density(s2).value
+    assert theorem_density(scenario_invariants(s)).value == (
+        theorem_density(scenario_invariants(s2)).value
+    )
     assert assemble_density(s).assembled.value == assemble_density(s2).assembled.value
 
 
@@ -518,8 +555,8 @@ def test_printed_forms_differ_by_exactly_the_known_slips():
     for m in (2, 3):
         s = random_scenario(m, "exact", rng)
         td = term_densities(s)
-        printed = paper_term_densities(s)
         inv = scenario_invariants(s)
+        printed = paper_term_densities(inv, reference_term_densities(inv))
         fld = s.field
         wm1 = fld.one
         for _ in range(2 * m - 1):
@@ -534,7 +571,9 @@ def test_printed_forms_differ_by_exactly_the_known_slips():
 
 
 def test_printed_group_values(derived_scenario):
-    groups = paper_group_densities(derived_scenario)
+    inv = scenario_invariants(derived_scenario)
+    printed = paper_term_densities(inv, reference_term_densities(inv))
+    groups = paper_group_densities(inv, printed)
     assert groups["h1"].value == EXACT.of(1)
     assert groups["h2"].value == EXACT.of(4)
     assert groups["h3"].value == EXACT.of(-2)
@@ -542,7 +581,7 @@ def test_printed_group_values(derived_scenario):
     # printed theorem value (1 unit)
     total = groups["h1"] + groups["h2"] + groups["h3"]
     assert total.value == EXACT.of(3)
-    assert theorem_density(derived_scenario).value == EXACT.of(1)
+    assert theorem_density(inv).value == EXACT.of(1)
 
 
 # -- float against exact on the same inputs ------------------------------------
