@@ -37,7 +37,6 @@ from .geometry import (
 )
 from .reference import reference_term_densities, scenario_invariants, theorem_density
 from .report import Comparison, gating_comparisons, term_scale
-from .scalars import field_for_mode
 from .spheres import monomial_integral, monomial_integral_closed_form, sphere_volume
 from .symbols import (
     norm_squared_symbol,
@@ -127,10 +126,9 @@ def check_inverse_square_symbols(seed: int = 0) -> CheckOutcome:
     for k in range(10):
         m = 2 if k % 2 == 0 else 3
         s = random_scenario(m, "exact", rng)
-        pieces = rescaled_dirac_square_sigma1_pieces(s)
-        closed = rescaled_dirac_square_symbols(s, pieces)
+        closed = rescaled_dirac_square_symbols(s, rescaled_dirac_square_sigma1_pieces(s))
         try:
-            q2, q3 = rescaled_dirac_inverse_symbols(s, closed, pieces)
+            q2, q3 = rescaled_dirac_inverse_symbols(s, closed)
         except VerificationError as exc:
             out.record(False, f"m={m} case {k + 1}: {exc}", residual=1.0)
             out.cases += 1
@@ -148,7 +146,6 @@ def check_trace_identities(seed: int = 0) -> CheckOutcome:
     """2-, 4- and 6-fold spinor trace identities, exact and gamma-matrix."""
     out = _new_outcome("3.3")
     rng = random.Random(seed)
-    fld = field_for_mode("exact")
     for m in (2, 3):
         n = 2 * m
         gammas = build_gamma_matrices(m)
@@ -165,7 +162,7 @@ def check_trace_identities(seed: int = 0) -> CheckOutcome:
                     for vv in vectors[done:k]:
                         prod = prod * clifford_of_vector(vv)
                     done = k
-                    value = lemma33_trace_identity(k, vectors[:k], m, fld, prod)
+                    value = lemma33_trace_identity(vectors[:k], m, prod)
                     mat = represent_element(prod, gammas)
                     worst = max(worst, abs(np.trace(mat) - complex(value)))
             except VerificationError:
@@ -233,12 +230,8 @@ def check_gamma_oracle(seed: int = 0) -> CheckOutcome:
     for m in (1, 2, 3):
         res = anticommutation_residual(build_gamma_matrices(m))
         out.record(res <= 1e-14, f"m={m}: anticommutation residual {res:.2e}", res)
-        rep = verify_representation(m, 100 if m < 3 else 25, seed)
-        out.record(
-            rep.max_deviation <= 1e-10,
-            f"m={m}: representation deviation {rep.max_deviation:.2e}",
-            rep.max_deviation,
-        )
+        dev = verify_representation(m, 100 if m < 3 else 25, seed)
+        out.record(dev <= 1e-10, f"m={m}: representation deviation {dev:.2e}", dev)
         out.cases += 1
     return out
 

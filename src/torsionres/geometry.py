@@ -172,18 +172,18 @@ def random_curvature(n: int, rng: random.Random, terms: int = 2) -> CurvatureDat
 
 @dataclass
 class NormalMetricJets:
-    """Quadratic jets of g_ab, g^ab and sqrt(det g) in normal coordinates."""
+    """Quadratic jets of g_ab, g^ab and sqrt(det g) in normal coordinates,
+    exact."""
 
     n: int
-    field: object
     g_lower: List[List[Jet]]
     g_upper: List[List[Jet]]
     sqrt_det: Jet
 
 
-def _scalar_jet(n: int, entries: Dict[Tuple[int, ...], object], max_degree: int = 2) -> Jet:
+def _scalar_jet(n: int, entries: Dict[Tuple[int, ...], object]) -> Jet:
     return Jet(
-        n, max_degree,
+        n, 2,
         {mono: CliffordElement.scalar(n, c) for mono, c in entries.items() if bool(c)},
     )
 
@@ -228,12 +228,12 @@ def build_metric_jets(curv: CurvatureData) -> NormalMetricJets:
         coeff = fld.of(-sixth * v)
         entries[mono] = entries.get(mono, fld.of(0)) + coeff
     sqrt_det = _scalar_jet(n, entries)
-    return NormalMetricJets(n, fld, g_lower, g_upper, sqrt_det)
+    return NormalMetricJets(n, g_lower, g_upper, sqrt_det)
 
 
 def laplacian_symbol(jets: NormalMetricJets) -> Symbol:
     """sigma_2 = g^ab xi_a xi_b, sigma_1 = (-i/sqrt g) d_a(sqrt g g^ab) xi_b, sigma_0 = 0."""
-    n, fld = jets.n, jets.field
+    n, fld = jets.n, EXACT
     terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
     zero_mono = (0,) * n
 
@@ -251,7 +251,7 @@ def laplacian_symbol(jets: NormalMetricJets) -> Symbol:
             key = (mono, 0)
             terms[key] = terms.get(key, Jet(n, 2, {})) + corr
 
-    inv_sqrt = invert_scalar_jet(jets.sqrt_det, n, fld)
+    inv_sqrt = invert_scalar_jet(jets.sqrt_det, fld)
     minus_i = fld.of(0) - fld.i
     for b in range(n):
         acc = Jet(n, 2, {})
@@ -291,7 +291,7 @@ def laplacian_inverse_closed_forms(
     Both come from what the check has already built: the metric jets, and
     ``sigma1_closed`` from ``laplacian_sigma1_closed_form``.
     """
-    n, fld = jets.n, jets.field
+    n, fld = jets.n, EXACT
     terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
     zero_mono = (0,) * n
     one_jet = Jet.constant(n, 2, CliffordElement.scalar(n, fld.one))
@@ -324,7 +324,7 @@ def laplacian_inverse_check(curv: CurvatureData) -> Tuple[Symbol, Symbol]:
     """
     jets = build_metric_jets(curv)
     sym = laplacian_symbol(jets)
-    q2, q3 = symbol_invert_order2(sym, curv.n)
+    q2, q3 = symbol_invert_order2(sym)
     sigma1_closed = laplacian_sigma1_closed_form(curv)
     q2_closed, q3_closed = laplacian_inverse_closed_forms(jets, sigma1_closed)
 
@@ -561,27 +561,25 @@ def rescaled_dirac_square_symbols(s: Scenario, pieces: Dict[str, Symbol]) -> Sym
     return sym
 
 
-def rescaled_dirac_inverse_closed_forms(
-    s: Scenario, pieces: Dict[str, Symbol]
-) -> Tuple[Symbol, Symbol]:
+def rescaled_dirac_inverse_closed_forms(s: Scenario, square: Symbol) -> Tuple[Symbol, Symbol]:
     """Closed-form inverse symbols of the squared operator, q_{-2} with
     first-order jets and q_{-3} at the base point.
 
     q_{-2} = |V|^{-4} |xi|^{-2}
     q_{-3} = -|V|^{-8} |xi|^{-4} sigma_1(square) + 2i |xi|^{-4} xi_mu d_mu(|V|^{-4})
+
+    sigma_1(square) is read from ``square``, the symbols of
+    ``rescaled_dirac_square_symbols``.
     """
     n, fld = s.n, s.field
     w2 = norm_sq_jet(s.V)
-    w4_inv = invert_scalar_jet(w2 * w2, n, fld)
+    w4_inv = invert_scalar_jet(w2 * w2, fld)
     w8_inv = (w4_inv * w4_inv).value_at_origin(n)
     q2 = Symbol(n, 1, fld, {((0,) * n, -1): w4_inv})
 
     q3 = Symbol.zero(n, 1, fld)
-    sigma1 = Symbol.zero(n, 1, fld)
-    for piece in pieces.values():
-        sigma1 = sigma1 + piece
     minus_one = fld.of(-1)
-    for (mono, k), jet in sigma1.terms.items():
+    for (mono, k), jet in square.take_degree(1).terms.items():
         q3 = q3 + _base_point_symbol(
             n, fld, {(mono, k - 2): (w8_inv * jet.value_at_origin(n)).scale(minus_one)}
         )
@@ -596,14 +594,13 @@ def rescaled_dirac_inverse_closed_forms(
 
 
 def rescaled_dirac_inverse_symbols(
-    s: Scenario, square: Symbol, pieces: Dict[str, Symbol], tol: float = 0.0
+    s: Scenario, square: Symbol, tol: float = 0.0
 ) -> Tuple[Symbol, Symbol]:
     """Invert the squared-operator symbol ``square`` and confirm the closed
-    forms built from its first-order ``pieces``: q_{-2} through first jet
-    order, q_{-3} at the base point (its value already carries the first
-    derivatives of V)."""
-    q2, q3 = symbol_invert_order2(square, s.n)
-    q2_closed, q3_closed = rescaled_dirac_inverse_closed_forms(s, pieces)
+    forms: q_{-2} through first jet order, q_{-3} at the base point (its
+    value already carries the first derivatives of V)."""
+    q2, q3 = symbol_invert_order2(square)
+    q2_closed, q3_closed = rescaled_dirac_inverse_closed_forms(s, square)
     require_symbols_equal(
         q2, q2_closed, tol, "q_{-2} recursion does not match |V|^{-4}|xi|^{-2}"
     )
@@ -611,10 +608,11 @@ def rescaled_dirac_inverse_symbols(
     return q2, q3
 
 
-def plain_dirac_symbols(m: int, mode: str = "exact") -> Symbol:
-    """Symbols of the plain Dirac operator at the base point: i c(xi) and 0."""
+def plain_dirac_symbols(m: int) -> Symbol:
+    """Exact symbols of the plain Dirac operator at the base point: i c(xi)
+    and 0."""
     n = 2 * m
-    fld = field_for_mode(mode)
+    fld = EXACT
     terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
     for j in range(n):
         ej = CliffordElement.basis(n, j + 1, fld.one)

@@ -198,15 +198,12 @@ class Jet:
         return self.terms.get(_zero_mono(self.nvars), CliffordElement.zero(dim))
 
     def truncate(self, degree: int) -> "Jet":
+        """The terms of degree at most ``degree``, under the same cap."""
         return Jet(
             self.nvars,
-            degree,
+            self.max_degree,
             {m: c for m, c in self.terms.items() if _mono_degree(m) <= degree},
         )
-
-    def with_max_degree(self, degree: int) -> "Jet":
-        """Same content, re-tagged with a (possibly larger) degree cap."""
-        return Jet(self.nvars, degree, dict(self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -240,20 +237,21 @@ class Jet:
         return "Jet(" + " + ".join(parts) + ")"
 
 
-def invert_scalar_jet(j: Jet, dim: int, field) -> Jet:
+def invert_scalar_jet(j: Jet, field) -> Jet:
     """Multiplicative inverse of a scalar-valued jet with invertible constant term.
 
     Writes j = c0 (1 + eps) with eps of positive x-degree and expands the
     geometric series; truncation at ``max_degree`` makes the series finite.
+    The frame dimension is that of the constant term.
     """
     if not j.is_scalar_valued():
         raise ValueError("jet inversion requires scalar-valued coefficients")
-    c0_elem = j.value_at_origin(dim)
-    c0 = c0_elem.coefficient(0)
+    c0_elem = j.terms.get(_zero_mono(j.nvars))
+    c0 = None if c0_elem is None else c0_elem.coefficient(0)
     if c0 is None or not bool(c0):
         raise ValueError("jet inversion requires a nonvanishing constant term")
     inv0 = field.one / c0
-    one = Jet.constant(j.nvars, j.max_degree, CliffordElement.scalar(dim, field.one))
+    one = Jet.constant(j.nvars, j.max_degree, CliffordElement.scalar(c0_elem.dim, field.one))
     eps = (j - Jet.constant(j.nvars, j.max_degree, c0_elem)).scale(inv0)
     out = one
     power = one

@@ -6,8 +6,9 @@ Every coefficient in the engine lives in one of two scalar fields:
   triple of arbitrary-precision ints, kept in the normal form ``d > 0``,
   ``gcd(a, b, d) == 1``, so that equal values have equal triples.  All
   acceptance checks run here, so "equal" means equal.
-* ``float`` -- plain Python ``complex``, used for large random sweeps and
-  for comparing against the dense-matrix oracle.
+* ``float`` -- plain Python ``complex``, for scenarios given as
+  floating-point numbers and for comparison with the float dense-matrix
+  oracle.  It is not faster than ``exact``.
 
 The two kinds never mix silently.  A ``GaussianRational`` refuses
 arithmetic with ``float``/``complex`` operands, so a mode error surfaces at
@@ -249,9 +250,6 @@ class _ExactField:
     def complex_of(self, re, im=0):
         return GaussianRational(_as_fraction(re), _as_fraction(im))
 
-    def eq(self, a, b, tol: float = 0.0) -> bool:
-        return a == b
-
 
 class _FloatField:
     """Constructors and predicates for float-mode scalars."""
@@ -270,13 +268,6 @@ class _FloatField:
         if isinstance(x, Fraction):
             return complex(float(x))
         return complex(x)
-
-    def complex_of(self, re, im=0):
-        return complex(self.of(re).real, self.of(im).real)
-
-    def eq(self, a, b, tol: float = 1e-12) -> bool:
-        a, b = complex(a), complex(b)
-        return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
 _ExactField.zero = GaussianRational(0)

@@ -18,11 +18,13 @@ Scenario files are JSON documents:
 
 ``jacobian[j][a]`` is the derivative of V_a along x_j (rows are
 directions).  ``m`` is an integer from 2 to ``gamma.MAX_M`` = 5, the
-largest m that every route reaches.  Exact mode takes rational literals
-"p/q"; float mode takes plain numbers.  The optional ``perturb`` block is the negative-control
-hook: it shifts one term's reference closed form before the gating
-comparison.  The optional ``seed`` is an integer or null, echoed into the
-report.
+largest m that every route reaches.  Exact mode takes rational literals:
+a JSON integer, or a string of an optional sign, digits and an optional
+"/" and digits ("3", "-3/4"); float mode takes plain numbers.  The
+optional ``perturb`` block is the negative-control hook: it shifts one
+term's reference closed form, by a rational literal ``delta``, before the
+gating comparison.  The optional ``seed`` is an integer or null, echoed
+into the report.
 
 Validation errors carry the path of the offending field and are raised
 as ``ScenarioError`` (the CLI maps them to exit code 2).
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -47,17 +50,29 @@ class ScenarioError(ValueError):
     """A scenario file failed to parse or validate."""
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _parse_rational(value, path: str) -> Fraction:
+    """A rational literal: a JSON integer, or a string ``[+-]digits[/digits]``."""
+    if type(value) is int:
+        return Fraction(value)
+    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
+        raise ScenarioError(
+            f"{path}: bad rational literal {value!r} (expected an integer or a string "
+            f"like \"-3/4\")"
+        )
+    num, _, den = value.partition("/")
+    try:
+        return Fraction(int(num), int(den or 1))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScenarioError(f"{path}: bad rational literal {value!r} ({exc})")
+
+
 def _parse_scalar(value, mode: str, path: str):
     fld = field_for_mode(mode)
     if mode == "exact":
-        if isinstance(value, bool) or not isinstance(value, (str, int)):
-            raise ScenarioError(
-                f"{path}: exact mode needs rational literals like \"3/4\" (got {value!r})"
-            )
-        try:
-            return fld.of(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScenarioError(f"{path}: bad rational literal {value!r} ({exc})")
+        return fld.of(_parse_rational(value, path))
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}: float mode needs numeric literals (got {value!r})")
     try:
@@ -100,7 +115,7 @@ def parse_scenario(doc: Dict) -> Tuple[Scenario, Optional[Tuple[str, Fraction]]]
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: top level must be an object")
     schema = doc.get("schema")
-    if schema != 1:
+    if isinstance(schema, bool) or schema != 1:
         raise ScenarioError(f"schema: unsupported version {schema!r} (expected 1)")
     m = doc.get("m")
     if not isinstance(m, int) or not 2 <= m <= MAX_M:
@@ -153,10 +168,7 @@ def parse_scenario(doc: Dict) -> Tuple[Scenario, Optional[Tuple[str, Fraction]]]
                 f"perturb.term: unknown term {p['term']!r} "
                 f"(expected one of {', '.join(TERM_NAMES)})"
             )
-        try:
-            perturb = (p["term"], Fraction(p["delta"]))
-        except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
-            raise ScenarioError(f"perturb.delta: bad rational ({exc})")
+        perturb = (p["term"], _parse_rational(p["delta"], "perturb.delta"))
 
     try:
         scenario = Scenario(
@@ -190,6 +202,7 @@ def load_scenario(path: str) -> Tuple[Scenario, Optional[Tuple[str, Fraction]]]:
         raise ScenarioError(f"{path}: cannot read ({exc.strerror or exc})")
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past Python's digit limit
         raise ScenarioError(f"{path}: invalid JSON ({exc})")
     return parse_scenario(doc)

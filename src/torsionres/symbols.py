@@ -20,10 +20,11 @@ both symbols are flattened into rows keyed by (xi key, x-monomial), in
 order of x-degree, and go through the row kernel of ``clifford``, which
 reduces each output coefficient once.  An exact coefficient gives a real
 and an imaginary row, each with a quarter-turn (see ``clifford``).  Only
-row pairs whose x-degrees add up to at most the jet cap and whose
-xi-degrees add up to at least ``lowest_degree`` reach the kernel
-(``jets.accumulate_admitted`` on ``(x-degree, xi-degree)`` labels), so the
-key rule sees only pairs it keeps.  A ``symbol_compose`` flattens its
+row pairs whose x-degrees add up to at most the jet cap reach the kernel,
+and in a composition only those whose xi-degrees add up to at least its
+``lowest_degree`` (``jets.accumulate_admitted`` on ``(x-degree,
+xi-degree)`` labels), so the key rule sees only pairs it keeps.  A
+``symbol_compose`` flattens its
 operands once, takes the xi- and x-derivatives of every alpha on the rows,
 and sums all alpha terms in one kernel accumulator; the (-i)^{|alpha|} of
 an alpha term turns the quarter-turn of exact rows and rotates the
@@ -151,19 +152,16 @@ class Symbol:
         )
 
     def evaluate_jets_at_origin(self) -> "Symbol":
-        return Symbol(
-            self.nvars, self.max_degree, self.field,
-            {k: j.truncate(0).with_max_degree(j.max_degree) for k, j in self.terms.items()},
-        )
+        return self.truncate_jets(0)
 
     def truncate_jets(self, degree: int) -> "Symbol":
         return Symbol(
             self.nvars, self.max_degree, self.field,
-            {k: j.truncate(degree).with_max_degree(j.max_degree) for k, j in self.terms.items()},
+            {k: j.truncate(degree) for k, j in self.terms.items()},
         )
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return symbol_is_zero(self, tol)
+    def is_zero(self) -> bool:
+        return symbol_is_zero(self)
 
     def __repr__(self):
         degs = self.degrees()
@@ -269,19 +267,18 @@ def _symbol_label(key) -> Tuple[int, int]:
     return key[4], key[2]
 
 
-def _admits(cap: int, lowest_degree: int | None):
+def _admits(cap: int, lowest: float):
     """The ``admits`` rule of a product of symbol rows: x-degrees that add
     up to at most the jet cap ``cap``, and xi-degrees that add up to at
-    least ``lowest_degree`` (any, if it is ``None``)."""
-    lowest = -math.inf if lowest_degree is None else lowest_degree
+    least ``lowest`` (-inf in a plain product)."""
     return lambda a, b: a[0] + b[0] <= cap and a[1] + b[1] >= lowest
 
 
 def _symbol_pair_key(ka, kb):
     """The key rule of a product of symbol rows: the output key is
     ``((xi exponents, norm power), x-monomial)``.  Only admitted pairs get
-    here: ``accumulate_admitted`` leaves out those past the jet cap and
-    those below the lowest degree (``_admits``)."""
+    here: ``accumulate_admitted`` leaves out those past the jet cap and,
+    in a composition, those below its lowest degree (``_admits``)."""
     return (_mono_mul(ka[0], kb[0]), ka[1] + kb[1]), _mono_mul(ka[3], kb[3])
 
 
@@ -299,14 +296,14 @@ def _first_dim(a: Symbol, b: Symbol) -> int:
     return coefficient_dim(next(iter(a.terms.values())), next(iter(b.terms.values())))
 
 
-def symbol_product(a: Symbol, b: Symbol, lowest_degree: int | None = None) -> Symbol:
+def symbol_product(a: Symbol, b: Symbol) -> Symbol:
     """Pointwise product (no derivatives); jet coefficients keep their order."""
     a._check(b)
     if not a.terms or not b.terms:
         return Symbol.zero(a.nvars, a.max_degree, a.field)
     xs, ys, d = operand_rows(_symbol_items(a), _symbol_items(b))
     acc: Dict = {}
-    admits = _admits(a.max_degree, lowest_degree)
+    admits = _admits(a.max_degree, -math.inf)
     accumulate_admitted(acc, xs, ys, _symbol_label, admits, _symbol_pair_key)
     return _symbol_of_elements(a, reduce(_first_dim(a, b), acc, d))
 
@@ -394,7 +391,7 @@ def norm_squared_symbol(nvars: int, max_degree: int, field, dim: int, power: int
     return Symbol(nvars, max_degree, field, {((0,) * nvars, power): jet})
 
 
-def symbol_invert_order2(p: Symbol, dim: int) -> Tuple[Symbol, Symbol]:
+def symbol_invert_order2(p: Symbol) -> Tuple[Symbol, Symbol]:
     """Two-term inverse of a symbol with degrees {2, 1} (degree 0 ignored).
 
     Returns (q_{-2}, q_{-3}) with
@@ -411,11 +408,13 @@ def symbol_invert_order2(p: Symbol, dim: int) -> Tuple[Symbol, Symbol]:
     quadratic monomials A_jk(x) xi_j xi_k; invertibility at the base point
     requires A_jk(0) to be a scalar multiple of the identity form.  The
     remainder must vanish at x = 0, which makes the geometric series for
-    p_2^{-1} finite in the jet order.
+    p_2^{-1} finite in the jet order.  The frame dimension is that of p's
+    coefficients.
     """
     p2 = p.take_degree(2)
     p1 = p.take_degree(1)
     nvars, max_degree, field = p.nvars, p.max_degree, p.field
+    dim = _symbol_dim(p)
     zero_mono = (0,) * nvars
     zero_jet = Jet(nvars, max_degree, {})
 
@@ -473,7 +472,7 @@ def symbol_invert_order2(p: Symbol, dim: int) -> Tuple[Symbol, Symbol]:
         if not j.is_zero():
             n_terms[(mono, 0)] = j
 
-    inv_jet = invert_scalar_jet(lead, dim, field)
+    inv_jet = invert_scalar_jet(lead, field)
     base_inv = Symbol(nvars, max_degree, field, {(zero_mono, -1): inv_jet})
     if n_terms:
         n_sym = Symbol(nvars, max_degree, field, n_terms)

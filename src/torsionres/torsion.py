@@ -71,6 +71,7 @@ from .geometry import (
 )
 from .jets import Jet
 from .reference import DensityValue
+from .scalars import EXACT
 from .spheres import monomial_integral
 from .symbols import (
     Symbol,
@@ -86,21 +87,21 @@ TERM_NAMES = ("h1", "l1", "l2", "l3", "l4", "l5", "k1", "k2")
 
 def torsion_prefactor_element(s: Scenario) -> CliffordElement:
     """c(V) c(u) c(v) c(w) c(V) at the base point."""
-    if not bool(s.V.norm_sq()):
-        raise ValueError("rescaling field V must be nonzero")
     cV = clifford_of_vector(s.V.value)
     return clifford_product_seq(
         [cV, clifford_of_vector(s.u), clifford_of_vector(s.v), clifford_of_vector(s.w), cV]
     )
 
 
-def trace_integrate(sym: Symbol, prefactor: CliffordElement, m: int, field) -> DensityValue:
+def trace_integrate(sym: Symbol, prefactor: CliffordElement, m: int) -> DensityValue:
     """Trace pre * sym fiberwise and integrate over the unit cosphere.
 
     Every term must be homogeneous of degree -2m and already evaluated at
-    the base point; the result is a rational multiple of 2^m Vol(S^{2m-1}).
+    the base point; the result is a rational multiple of 2^m Vol(S^{2m-1}),
+    in the scalars of ``sym``.
     """
     n = 2 * m
+    field = sym.field
     total = field.of(0)
     for (mono, k), jet in sym.terms.items():
         if sum(mono) + 2 * k != -n:
@@ -151,7 +152,7 @@ def pipeline_symbols(s: Scenario, dirac: Symbol, tol: float = 0.0) -> Dict[str, 
     n, m, fld = s.n, s.m, s.field
     frags = rescaled_dirac_square_sigma1_pieces(s)
     dsq = rescaled_dirac_square_symbols(s, frags)
-    q2, q3 = rescaled_dirac_inverse_symbols(s, dsq, frags, tol)
+    q2, q3 = rescaled_dirac_inverse_symbols(s, dsq, tol)
 
     # the only x-derivatives (constant, the jets being first order), then
     # everything at the base point
@@ -241,7 +242,7 @@ def trace_terms(
     symbols: Dict[str, Symbol], prefactor: CliffordElement, m: int
 ) -> Dict[str, DensityValue]:
     """``trace_integrate`` of each term symbol under one prefactor."""
-    return {name: trace_integrate(sym, prefactor, m, sym.field) for name, sym in symbols.items()}
+    return {name: trace_integrate(sym, prefactor, m) for name, sym in symbols.items()}
 
 
 def term_densities(s: Scenario, tol: float = 0.0) -> Dict[str, DensityValue]:
@@ -263,13 +264,13 @@ def composition_oracle_density(
     base point.  ``dirac`` is only read.
     """
     n = 2 * m
-    q2, q3 = symbol_invert_order2(symbol_square_to_invert(dirac), n)
+    q2, q3 = symbol_invert_order2(symbol_square_to_invert(dirac))
     q = q2 + q3
     acc = q
     for factors in range(2, m + 1):
         acc = symbol_compose(acc, q, -2 * factors - 1, at_origin=True)
     total = symbol_compose(acc, dirac, -n, at_origin=True).take_degree(-n)
-    return trace_integrate(total, prefactor, m, dirac.field)
+    return trace_integrate(total, prefactor, m)
 
 
 def sum_terms(terms: Dict[str, DensityValue], names: Sequence[str] = TERM_NAMES) -> DensityValue:
@@ -304,9 +305,9 @@ def assemble_density(s: Scenario, tol: float = 0.0) -> TermBreakdown:
 
 
 def plain_dirac_torsion_density(
-    u: FrameVector, v: FrameVector, w: FrameVector, m: int, mode: str = "exact"
+    u: FrameVector, v: FrameVector, w: FrameVector, m: int
 ) -> DensityValue:
-    """Torsion density of the plain Dirac operator at the base point.
+    """Exact torsion density of the plain Dirac operator at the base point.
 
     Runs the same generic composition route with prefactor c(u)c(v)c(w);
     in normal coordinates every contribution vanishes.
@@ -317,7 +318,7 @@ def plain_dirac_torsion_density(
     pre = clifford_product_seq(
         [clifford_of_vector(u), clifford_of_vector(v), clifford_of_vector(w)]
     )
-    return composition_oracle_density(plain_dirac_symbols(m, mode), pre, m)
+    return composition_oracle_density(plain_dirac_symbols(m), pre, m)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +326,16 @@ def plain_dirac_torsion_density(
 # ---------------------------------------------------------------------------
 
 
-def trace_pairing_formula(vectors: Sequence[FrameVector], m: int, field):
-    """Closed form for tr[c(X_1)...c(X_k)] via signed perfect pairings.
+def trace_pairing_formula(vectors: Sequence[FrameVector], m: int):
+    """Closed form for tr[c(X_1)...c(X_k)] via signed perfect pairings, for
+    exact vectors.
 
     Recursion: pair X_1 with each X_j; the cost of walking X_1 up to X_j
     is (-1)^j, and each contraction contributes -g(X_1, X_j).  The pairings
     g(X_a, X_b), a < b, are computed once up front (k(k-1)/2 dots, 15 for
     k = 6) and read by every branch of the recursion.
     """
+    field = EXACT
     k = len(vectors)
     if k % 2 == 1:
         return field.of(0)
@@ -358,21 +361,18 @@ def trace_pairing_formula(vectors: Sequence[FrameVector], m: int, field):
     return rec(tuple(range(k))) * field.of(2**m)
 
 
-def lemma33_trace_identity(
-    k: int, vectors: Sequence[FrameVector], m: int, field, product: CliffordElement
-):
-    """Evaluate tr of the k-fold Clifford product ``product`` = c(v_1)...c(v_k)
-    both symbolically and by the pairing formula on ``vectors``, assert
-    equality, and return the value."""
+def lemma33_trace_identity(vectors: Sequence[FrameVector], m: int, product: CliffordElement):
+    """Evaluate tr of the k-fold Clifford product ``product`` = c(v_1)...c(v_k),
+    k = len(vectors), both symbolically and by the pairing formula on the
+    exact ``vectors``, assert exact equality, and return the value."""
+    k = len(vectors)
     if k not in (2, 4, 6):
         raise ValueError(f"trace identity defined for k in {{2,4,6}}, got {k}")
-    if len(vectors) != k:
-        raise ValueError(f"expected {k} vectors, got {len(vectors)}")
     symbolic = clifford_trace(product, m)
     if not bool(symbolic):
-        symbolic = field.of(0)
-    formula = trace_pairing_formula(vectors, m, field)
-    if not field.eq(symbolic, formula, 1e-9 if field.kind == "float" else 0.0):
+        symbolic = EXACT.of(0)
+    formula = trace_pairing_formula(vectors, m)
+    if symbolic != formula:
         raise VerificationError(
             f"trace identity failed for k={k}: {symbolic} vs {formula}"
         )
@@ -417,7 +417,7 @@ def lemma34_contraction(index: int, s: Scenario):
     it reads it.  Items 6 and 12 use the sign the index sum forces
     (+g(w, grad_V V) g(u,v) and +div V g(V,v) g(u,w)); the corresponding
     printed variants carry the opposite sign.  Returns (lhs, rhs) after
-    asserting equality.
+    asserting exact equality, for an exact scenario ``s``.
     """
     if not 1 <= index <= 15:
         raise ValueError(f"contraction index {index} out of 1..15")
@@ -477,7 +477,7 @@ def lemma34_contraction(index: int, s: Scenario):
         15: lambda: fld.of(-1) * div() * V0.dot(u) * v.dot(w),
     }
     rhs = rhs_table[index]()
-    if not fld.eq(lhs, rhs, 1e-9 if fld.kind == "float" else 0.0):
+    if lhs != rhs:
         raise VerificationError(
             f"contraction identity {index} failed: {lhs} vs {rhs}"
         )

@@ -30,9 +30,7 @@ def square_symbols(s: Scenario):
 def inverse_symbols(s: Scenario, tol: float = 0.0):
     """q_{-2} and q_{-3} of the squared rescaled operator, checked against
     their closed forms."""
-    pieces = rescaled_dirac_square_sigma1_pieces(s)
-    square = rescaled_dirac_square_symbols(s, pieces)
-    return rescaled_dirac_inverse_symbols(s, square, pieces, tol)
+    return rescaled_dirac_inverse_symbols(s, square_symbols(s), tol)
 
 
 @pytest.fixture

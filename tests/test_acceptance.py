@@ -89,7 +89,7 @@ def test_criterion_01_trace_identities():
                 prod = clifford_of_vector(vectors[0])
                 for v in vectors[1:k]:
                     prod = prod * clifford_of_vector(v)
-                value = lemma33_trace_identity(k, vectors[:k], m, EXACT, prod)
+                value = lemma33_trace_identity(vectors[:k], m, prod)
                 worst = max(
                     worst,
                     abs(np.trace(represent_element(prod, gammas)) - complex(value)),
@@ -158,15 +158,14 @@ def test_criterion_04_square_and_inverse_symbols():
         m = 2 if k % 2 == 0 else 3
         s = random_scenario(m, "exact", rng)
         dirac = rescaled_dirac_symbols(s)
-        pieces = rescaled_dirac_square_sigma1_pieces(s)
-        closed = rescaled_dirac_square_symbols(s, pieces)
+        closed = rescaled_dirac_square_symbols(s, rescaled_dirac_square_sigma1_pieces(s))
         composed = symbol_compose(dirac, dirac, 1)
         assert symbols_equal(composed.take_degree(2), closed.take_degree(2))
         assert symbols_equal(
             composed.take_degree(1).evaluate_jets_at_origin(),
             closed.take_degree(1).evaluate_jets_at_origin(),
         )
-        q2, q3 = rescaled_dirac_inverse_symbols(s, closed, pieces)
+        q2, q3 = rescaled_dirac_inverse_symbols(s, closed)
         li = symbol_compose(q2 + q3, closed, -1)
         assert symbols_equal(li.take_degree(0), norm_squared_symbol(s.n, 1, s.field, s.n, 0))
         assert li.take_degree(-1).evaluate_jets_at_origin().is_zero()

@@ -336,6 +336,26 @@ def test_cli_bad_rational_fields(tmp_path, capsys, field, entry):
     assert field in captured.err and "bad rational" in captured.err
 
 
+@pytest.mark.parametrize("old, new", [
+    # an integer past the 4,300 digits Python converts from text
+    pytest.param('"X": ["0"', '"X": [' + "7" * 5000, id="long-integer"),
+    pytest.param('"X": ["0"', '"X": ["1e400"', id="exponent"),
+    pytest.param('"X": ["0"', '"X": ["0.5"', id="decimal"),
+    pytest.param('"schema": 1', '"schema": 1, "perturb": {"term": "l4", "delta": true}',
+                 id="bool-delta"),
+    pytest.param('"schema": 1', '"schema": true', id="bool-schema"),
+])
+def test_cli_malformed_scenario_is_one_error_line(tmp_path, capsys, old, new):
+    """A malformed scenario file ends in one ``error:`` line and exit 2,
+    never in a traceback: an integer too long to convert, and rational
+    literals other than an integer or ``"p/q"``."""
+    text = json.dumps(DERIVED)
+    assert old in text
+    path = tmp_path / "scenario.json"
+    path.write_text(text.replace(old, new, 1))
+    _assert_usage_error(["run", "--scenario", str(path)], capsys)
+
+
 def _float_scenario_doc():
     """The README scenario in float mode with a generic V, Jacobian row and X."""
     doc = json.loads(json.dumps(DERIVED))

@@ -131,7 +131,7 @@ def test_trace_identities_emerge():
                     [clifford_of_vector(x) for x in vectors[:k]]
                 )
                 symbolic = EXACT.of(0) + clifford_trace(prod, m)
-                formula = trace_pairing_formula(vectors[:k], m, EXACT)
+                formula = trace_pairing_formula(vectors[:k], m)
                 assert symbolic == formula
 
 
@@ -143,9 +143,9 @@ def test_trace_identity_values(derived_scenario):
     def chain(k):
         return clifford_product_seq([clifford_of_vector(e1)] * k)
 
-    assert lemma33_trace_identity(2, [e1, e1], 2, EXACT, chain(2)) == EXACT.of(-4)
-    assert lemma33_trace_identity(4, [e1] * 4, 2, EXACT, chain(4)) == EXACT.of(4)
-    assert lemma33_trace_identity(6, [e1] * 6, 2, EXACT, chain(6)) == EXACT.of(-4)
+    assert lemma33_trace_identity([e1, e1], 2, chain(2)) == EXACT.of(-4)
+    assert lemma33_trace_identity([e1] * 4, 2, chain(4)) == EXACT.of(4)
+    assert lemma33_trace_identity([e1] * 6, 2, chain(6)) == EXACT.of(-4)
 
 
 # -- the integer kernel of exact products ---------------------------------------

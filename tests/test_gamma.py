@@ -76,10 +76,8 @@ def test_matrix_trace_matches_pairing():
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_verify_representation(m):
-    report = verify_representation(m, trials=100 if m < 3 else 40, seed=5)
-    assert report.max_deviation <= 1e-10
+    assert verify_representation(m, trials=100 if m < 3 else 40, seed=5) <= 1e-10
 
 
 def test_identity_single_trial_zero_deviation():
-    report = verify_representation(1, trials=1, seed=0)
-    assert report.max_deviation <= 1e-12
+    assert verify_representation(1, trials=1, seed=0) <= 1e-12

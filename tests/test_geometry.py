@@ -16,7 +16,6 @@ from torsionres.geometry import (
     random_scenario,
     rescaled_dirac_inverse_symbols,
     rescaled_dirac_square_sigma1_pieces,
-    rescaled_dirac_square_symbols,
     rescaled_dirac_symbols,
     plain_dirac_symbols,
     Scenario,
@@ -376,21 +375,30 @@ def test_constant_v_square_flat():
     assert q3.evaluate_jets_at_origin().is_zero()
 
 
-def test_inverse_mismatch_reports_its_residual():
-    """A square that is not the operator's: the failed q_{-2} and q_{-3}
-    checks state the largest coefficient of their difference."""
+def test_inverse_mismatch_reports_its_residual(monkeypatch):
+    """A square that is not the operator's, and an inversion whose q_{-3}
+    is off: the failed q_{-2} and q_{-3} checks state the largest
+    coefficient of their difference.  (The closed q_{-3} reads sigma_1 of
+    the square it is handed, so only a faulty inversion gets past the
+    q_{-2} check and fails at q_{-3}.)"""
     s = _constant_v_scenario()
-    pieces = rescaled_dirac_square_sigma1_pieces(s)
-    square = rescaled_dirac_square_symbols(s, pieces)
+    square = square_symbols(s)
     # twice the square inverts to |xi|^{-2}/2 against the closed |xi|^{-2}
     with pytest.raises(VerificationError, match=r"q_\{-2\}.*\(residual 0\.5\)"):
-        rescaled_dirac_inverse_symbols(s, square.scale(EXACT.of(2)), pieces)
-    # an extra sigma_1 = 3 xi_1 adds q_{-3} = -3 xi_1 |xi|^{-4}; the closed form is 0
+        rescaled_dirac_inverse_symbols(s, square.scale(EXACT.of(2)))
+    # an inversion that adds q_{-3} = -3 xi_1 |xi|^{-4}; the closed form is 0
     extra = Symbol(4, 1, EXACT, {
-        ((1, 0, 0, 0), 0): Jet.constant(4, 1, CliffordElement.scalar(4, EXACT.of(3)))
+        ((1, 0, 0, 0), -2): Jet.constant(4, 1, CliffordElement.scalar(4, EXACT.of(-3)))
     })
+    invert = geometry.symbol_invert_order2
+
+    def off_by_extra(p):
+        q2, q3 = invert(p)
+        return q2, q3 + extra
+
+    monkeypatch.setattr(geometry, "symbol_invert_order2", off_by_extra)
     with pytest.raises(VerificationError, match=r"q_\{-3\}.*\(residual 3\)"):
-        rescaled_dirac_inverse_symbols(s, square + extra, pieces)
+        rescaled_dirac_inverse_symbols(s, square)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -441,9 +449,8 @@ def test_left_inverse_property():
     rng = random.Random(23)
     for m in (2, 3):
         s = random_scenario(m, "exact", rng)
-        pieces = rescaled_dirac_square_sigma1_pieces(s)
-        square = rescaled_dirac_square_symbols(s, pieces)
-        q2, q3 = rescaled_dirac_inverse_symbols(s, square, pieces)
+        square = square_symbols(s)
+        q2, q3 = rescaled_dirac_inverse_symbols(s, square)
         li = symbol_compose(q2 + q3, square, -1)
         assert symbols_equal(li.take_degree(0), norm_squared_symbol(s.n, 1, s.field, s.n, 0))
         assert li.take_degree(-1).evaluate_jets_at_origin().is_zero()

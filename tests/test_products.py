@@ -66,14 +66,13 @@ def _jet_pairs(a, b):
     )
 
 
-def _symbol_pairs(a, b, lowest_degree):
+def _symbol_pairs(a, b):
     """``((xi key, x-monomial), a coefficient, b coefficient)`` for every
     pair of (xi key, x-monomial) rows that a symbol product keeps."""
     return (
         (((_mono_add(ma, mb), ka + kb), _mono_add(xa, xb)), ca, cb)
         for (ma, ka), ja in a.terms.items()
         for (mb, kb), jb in b.terms.items()
-        if lowest_degree is None or sum(ma) + 2 * ka + sum(mb) + 2 * kb >= lowest_degree
         for xa, ca in ja.terms.items()
         for xb, cb in jb.terms.items()
         if sum(xa) + sum(xb) <= a.max_degree
@@ -84,8 +83,8 @@ def _reference_jet_product(a, b):
     return _reference_elements(_jet_pairs(a, b))
 
 
-def _reference_symbol_product(a, b, lowest_degree):
-    flat = _reference_elements(_symbol_pairs(a, b, lowest_degree))
+def _reference_symbol_product(a, b):
+    flat = _reference_elements(_symbol_pairs(a, b))
     out = {}
     for (key, xmono), terms in flat.items():
         out.setdefault(key, {})[xmono] = terms
@@ -162,8 +161,7 @@ def _symbol_operands(draw):
     terms = st.dictionaries(keys, _jets(nvars, cap, dim), max_size=4)
     a = Symbol(nvars, cap, EXACT, draw(terms))
     b = Symbol(nvars, cap, EXACT, draw(terms))
-    lowest = draw(st.one_of(st.none(), st.integers(min_value=-6, max_value=4)))
-    return dim, a, b, lowest
+    return dim, a, b
 
 
 def _jet_of(nvars, cap, dim, terms):
@@ -185,9 +183,9 @@ def test_exact_jet_product_matches_per_coefficient_reference(operands):
 @settings(max_examples=150, deadline=None)
 @given(_symbol_operands())
 def test_exact_symbol_product_matches_per_coefficient_reference(operands):
-    dim, a, b, lowest = operands
-    got = symbol_product(a, b, lowest)
-    want = _reference_symbol_product(a, b, lowest)
+    dim, a, b = operands
+    got = symbol_product(a, b)
+    want = _reference_symbol_product(a, b)
     assert _symbol_terms(got) == want
     assert all(bool(v) for v in _stored_values(got))
     assert all(jet.max_degree == a.max_degree for jet in got.terms.values())
@@ -200,7 +198,8 @@ def test_exact_symbol_product_matches_per_coefficient_reference(operands):
 def _reference_compose(p, q, lowest_degree, at_origin):
     """sum over ordered sequences (mu_1..mu_r), r <= the jet cap, of
     (-i)^r / r! d_xi_mu1..d_xi_mur p * d_x_mu1..d_x_mur q, one symbol
-    operation at a time; a multi-index alpha appears r!/alpha! times."""
+    operation at a time; a multi-index alpha appears r!/alpha! times.  The
+    terms below ``lowest_degree`` are dropped from the sum."""
     if at_origin:
         p = p.evaluate_jets_at_origin()
     field = p.field
@@ -215,8 +214,10 @@ def _reference_compose(p, q, lowest_degree, at_origin):
                 dp, dq = dp.partial_xi(mu), dq.partial_x(mu)
             if at_origin:
                 dq = dq.evaluate_jets_at_origin()
-            total = total + symbol_product(dp, dq, lowest_degree).scale(weight)
-    return total
+            total = total + symbol_product(dp, dq).scale(weight)
+    return Symbol(p.nvars, p.max_degree, field, {
+        key: jet for key, jet in total.terms.items() if sum(key[0]) + 2 * key[1] >= lowest_degree
+    })
 
 
 def _triples(s):
@@ -311,7 +312,7 @@ def test_exact_oracle_compositions_skip_the_symbol_operations(m, monkeypatch):
     derivative or scaling, and the same coefficients as the reference."""
     s = random_scenario(m, "exact", random.Random(40 + m))
     dirac = rescaled_dirac_symbols(s)
-    q2, q3 = symbol_invert_order2(symbol_compose(dirac, dirac, 1), s.n)
+    q2, q3 = symbol_invert_order2(symbol_compose(dirac, dirac, 1))
     q = q2 + q3
     cases = [(dirac, dirac, 1, False), (q, q, -5, True), (q, dirac, -1 - 2 * m, True)]
     want = [_triples(_reference_compose(*case)) for case in cases]
@@ -339,8 +340,8 @@ def test_square_to_invert_inverts_like_the_full_square(mode, m):
     square = symbols.symbol_square_to_invert(dirac)
     base = (0,) * s.n
     assert all(set(jet.terms) == {base} for jet in square.take_degree(1).terms.values())
-    got = symbol_invert_order2(square, s.n)
-    want = symbol_invert_order2(symbol_compose(dirac, dirac, 1), s.n)
+    got = symbol_invert_order2(square)
+    want = symbol_invert_order2(symbol_compose(dirac, dirac, 1))
     view = _triples if mode == "exact" else _symbol_terms
     assert [view(q) for q in got] == [view(q) for q in want]
 
@@ -364,7 +365,7 @@ def test_no_row_pair_past_the_jet_cap_reaches_a_key_rule(monkeypatch):
     monkeypatch.setattr(jets, "_jet_pair_key", watched_jet_key)
     monkeypatch.setattr(symbols, "_symbol_pair_key", watched_symbol_key)
     curv = random_curvature(4, random.Random(5))
-    symbol_invert_order2(laplacian_symbol(build_metric_jets(curv)), 4)
+    symbol_invert_order2(laplacian_symbol(build_metric_jets(curv)))
     cap = 2
     assert jet_degrees and max(jet_degrees) == cap
     assert symbol_degrees and max(symbol_degrees) == cap
@@ -381,17 +382,17 @@ def _patch_everywhere(monkeypatch, fn, replacement):
 
 
 def test_no_row_pair_below_the_lowest_degree_reaches_a_key_rule(monkeypatch):
-    """Symbol products and compositions leave out row pairs whose
-    xi-degrees add up to less than ``lowest_degree`` before the kernel asks
-    the key rule: over exact m=2 and m=3 reports and the inversion of a
-    curved Laplacian, the rule sees pairs, but none below."""
+    """Symbol compositions leave out row pairs whose xi-degrees add up to
+    less than ``lowest_degree`` before the kernel asks the key rule (a
+    plain product has no floor): over exact m=2 and m=3 reports and the
+    inversion of a curved Laplacian, the rule sees pairs, but none below."""
     floors, seen, below = [], [], []
     product, compose, symbol_key = symbol_product, symbol_compose, symbols._symbol_pair_key
 
-    def watched_product(a, b, lowest_degree=None):
-        floors.append(lowest_degree)
+    def watched_product(a, b):
+        floors.append(None)
         try:
-            return product(a, b, lowest_degree)
+            return product(a, b)
         finally:
             floors.pop()
 
@@ -415,7 +416,7 @@ def test_no_row_pair_below_the_lowest_degree_reaches_a_key_rule(monkeypatch):
     for m in (2, 3):
         build_report(random_scenario(m, "exact", random.Random(520 + m)))
     curv = random_curvature(4, random.Random(5))
-    symbol_invert_order2(laplacian_symbol(build_metric_jets(curv)), 4)
+    symbol_invert_order2(laplacian_symbol(build_metric_jets(curv)))
     assert seen
     assert below == []
 
@@ -449,7 +450,6 @@ def test_exact_products_drop_cancelled_keys():
     })
     prod = symbol_product(sa, sb)
     assert set(prod.terms) == {((2, 0), 0), ((0, 2), 0)}
-    assert symbol_product(sa, sb, lowest_degree=3).terms == {}
 
 
 # (c e1 + e2)(e1 + v e2) with c = 1 + i: each v cancels the real part, the
@@ -467,7 +467,7 @@ def test_exact_products_cancel_each_part_of_a_mixed_coefficient(v):
     assert (0 in got[(1, 1)]) == (v != (-1, -1))
     sa = Symbol(2, 2, EXACT, {(x1, 0): ja})
     sb = Symbol(2, 2, EXACT, {(x2, -1): jb})
-    assert _symbol_terms(symbol_product(sa, sb)) == _reference_symbol_product(sa, sb, None)
+    assert _symbol_terms(symbol_product(sa, sb)) == _reference_symbol_product(sa, sb)
 
 
 def test_exact_products_drop_a_key_whose_every_mixed_blade_cancels():
@@ -486,7 +486,7 @@ def test_exact_products_drop_a_key_whose_every_mixed_blade_cancels():
     sa = Symbol(2, 1, EXACT, {(x1, 0): const(c), (x2, 0): const(_e(2, 0b10))})
     sb = Symbol(2, 1, EXACT, {(x2, 0): const(_e(2, 0b10)), (x1, 0): const(c)})
     got = _symbol_terms(symbol_product(sa, sb))
-    assert got == _reference_symbol_product(sa, sb, None)
+    assert got == _reference_symbol_product(sa, sb)
     assert set(got) == {((2, 0), 0), ((0, 2), 0)}
 
 
@@ -503,7 +503,7 @@ def test_exact_products_keep_factor_order():
     assert _jet_terms(ba) == _reference_jet_product(b, a)
     sa = Symbol(2, 1, EXACT, {((1, 0), 0): a})
     sb = Symbol(2, 1, EXACT, {((0, 0), -1): b})
-    assert _symbol_terms(symbol_product(sa, sb)) == _reference_symbol_product(sa, sb, None)
+    assert _symbol_terms(symbol_product(sa, sb)) == _reference_symbol_product(sa, sb)
     assert symbol_product(sa, sb).terms != symbol_product(sb, sa).terms
 
 
@@ -569,7 +569,7 @@ def test_float_products_are_within_rounding_of_the_exact_dyadic_product(seed):
         for key, jet in symbol_product(sa, sb).terms.items()
         for xmono, elem in jet.terms.items()
     }
-    _assert_within_rounding(got, _symbol_pairs(sa, sb, None))
+    _assert_within_rounding(got, _symbol_pairs(sa, sb))
 
 
 def test_exact_times_float_is_a_mode_error():

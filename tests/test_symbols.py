@@ -83,7 +83,7 @@ def test_flat_compose_is_identity():
 
 def test_invert_flat():
     p = norm_squared_symbol(N, 1, EXACT, N, 1)
-    q2, q3 = symbol_invert_order2(p, N)
+    q2, q3 = symbol_invert_order2(p)
     assert symbols_equal(q2, norm_squared_symbol(N, 1, EXACT, N, -1))
     assert q3.is_zero()
 
@@ -91,7 +91,7 @@ def test_invert_flat():
 def test_invert_constant_rescaled():
     # p2 = |V|^4 |xi|^2 with constant |V|^4 = 16 -> q2 = (1/16)|xi|^{-2}
     p = norm_squared_symbol(N, 1, EXACT, N, 1).scale(EXACT.of(16))
-    q2, q3 = symbol_invert_order2(p, N)
+    q2, q3 = symbol_invert_order2(p)
     expect = norm_squared_symbol(N, 1, EXACT, N, -1).scale(EXACT.of(Fraction(1, 16)))
     assert symbols_equal(q2, expect)
     assert q3.is_zero()
@@ -101,14 +101,14 @@ def test_invert_rejects_bad_leading():
     # A purely monomial quadratic form that is not scalar at the origin
     terms = {(mono(2, 0, 0, 0), 0): one_jet()}
     with pytest.raises(ValueError):
-        symbol_invert_order2(sym(terms), N)
+        symbol_invert_order2(sym(terms))
     # mixed term with nonvanishing origin value
     terms = {
         (mono(0, 0, 0, 0), 1): one_jet(),
         (mono(1, 1, 0, 0), 0): one_jet(),
     }
     with pytest.raises(ValueError):
-        symbol_invert_order2(sym(terms), N)
+        symbol_invert_order2(sym(terms))
 
 
 def _float_form(diagonal, mixed=0.0):
@@ -129,10 +129,10 @@ def test_float_invert_judges_the_leading_form_at_its_own_scale(a):
     by 1e-4 relative, on its diagonal or in a mixed term, is refused at
     every scale, and rounding residue of 1e-15 relative is accepted."""
     with pytest.raises(ValueError):
-        symbol_invert_order2(_float_form([a, a, a, a * (1 + 1e-4)]), N)
+        symbol_invert_order2(_float_form([a, a, a, a * (1 + 1e-4)]))
     with pytest.raises(ValueError):
-        symbol_invert_order2(_float_form([a] * 4, mixed=1e-4 * a), N)
-    q2, _ = symbol_invert_order2(_float_form([a, a, a * (1 + 1e-15), a], mixed=1e-15 * a), N)
+        symbol_invert_order2(_float_form([a] * 4, mixed=1e-4 * a))
+    q2, _ = symbol_invert_order2(_float_form([a, a, a * (1 + 1e-15), a], mixed=1e-15 * a))
     assert abs(complex(q2.terms[((0,) * N, -1)].value_at_origin(N).coefficient(0)) * a - 1) < 1e-12
 
 
@@ -182,7 +182,7 @@ def test_inverse_power_matches_iterated_composition(m):
     rng = random.Random(100 + m)
     s = random_scenario(m, "exact", rng)
     square = square_symbols(s)
-    q2, q3 = symbol_invert_order2(square, s.n)
+    q2, q3 = symbol_invert_order2(square)
     top_f, sub_f = inverse_power_symbols(q2, q3, m)
     top_c, sub_c = power_by_composition(q2, q3, m)
     assert symbols_equal(top_f, top_c)
@@ -195,7 +195,7 @@ def test_composition_associativity_at_base_point():
     rng = random.Random(7)
     s = random_scenario(3, "exact", rng)
     square = square_symbols(s)
-    q2, q3 = symbol_invert_order2(square, s.n)
+    q2, q3 = symbol_invert_order2(square)
     q = q2 + q3
     left = symbol_compose(symbol_compose(q, q, -5), q, -7)
     right = symbol_compose(q, symbol_compose(q, q, -5), -7)
@@ -265,7 +265,7 @@ def test_compose_at_origin_on_oracle_inputs(m):
     composition acc o dirac, with the exact rescaled operator."""
     s = random_scenario(m, "exact", random.Random(300 + m))
     dirac = rescaled_dirac_symbols(s)
-    q2, q3 = symbol_invert_order2(symbol_compose(dirac, dirac, 1), s.n)
+    q2, q3 = symbol_invert_order2(symbol_compose(dirac, dirac, 1))
     q = q2 + q3
     acc = q
     for factors in range(2, m + 1):
@@ -279,7 +279,7 @@ def test_compose_at_origin_on_laplacian_jets():
     curv = random_curvature(N, random.Random(41))
     lap = laplacian_symbol(build_metric_jets(curv))
     assert _at_origin_matches(lap, lap, 2).terms
-    q2, q3 = symbol_invert_order2(lap, N)
+    q2, q3 = symbol_invert_order2(lap)
     assert _at_origin_matches(q2 + q3, lap, -1).terms
 
 
@@ -295,7 +295,7 @@ def _q3_full_formula(p, q2):
 
 
 def _check_q3_valid_order(p):
-    q2, q3 = symbol_invert_order2(p, p.nvars)
+    q2, q3 = symbol_invert_order2(p)
     expect = _q3_full_formula(p, q2).truncate_jets(p.max_degree - 1)
     assert q3.terms and q3.terms == expect.terms
 

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torsionres import checks, clifford, geometry, reference, report, torsion
+from torsionres import (
+    checks, clifford, gamma, geometry, jets, reference, report, scalars, symbols, torsion,
+)
 from torsionres.clifford import CliffordElement, FrameVector, clifford_of_vector, clifford_trace
 from torsionres.gamma import build_gamma_matrices, represent_element
 from torsionres.geometry import Scenario, VectorFieldJet, random_scenario
@@ -312,6 +314,51 @@ def test_route_steps_take_every_input_as_a_required_argument():
     assert defaulted == []
 
 
+# parameters that every caller set to one value, or that another argument fixes
+FIXED_PARAMETERS = (
+    (symbols.symbol_product, "lowest_degree"),
+    (symbols.Symbol.is_zero, "tol"),
+    (gamma._random_element, "max_grade"),
+    (geometry._scalar_jet, "max_degree"),
+    (geometry.NormalMetricJets, "field"),
+    (torsion.lemma33_trace_identity, "field"),
+    (torsion.lemma33_trace_identity, "k"),
+    (torsion.trace_pairing_formula, "field"),
+    (geometry.plain_dirac_symbols, "mode"),
+    (torsion.plain_dirac_torsion_density, "mode"),
+    (torsion.trace_integrate, "field"),
+    (symbols.symbol_invert_order2, "dim"),
+    (jets.invert_scalar_jet, "dim"),
+    (geometry.rescaled_dirac_inverse_closed_forms, "pieces"),
+    (geometry.rescaled_dirac_inverse_symbols, "pieces"),
+)
+
+# members that nothing reads
+UNREAD_MEMBERS = (
+    (scalars._ExactField, "eq"),
+    (scalars._FloatField, "eq"),
+    (scalars._FloatField, "complex_of"),
+    (gamma, "OracleReport"),
+    (jets.Jet, "with_max_degree"),
+)
+
+
+def test_no_function_takes_a_value_that_its_callers_never_vary():
+    """Each of these values is a constant or derived from another argument,
+    so it is no parameter, and no member is kept that nothing reads."""
+    present = [
+        (fn.__qualname__, name)
+        for fn, name in FIXED_PARAMETERS
+        if name in inspect.signature(fn).parameters
+    ]
+    present += [
+        (getattr(owner, "__qualname__", owner.__name__), name)
+        for owner, name in UNREAD_MEMBERS
+        if hasattr(owner, name)
+    ]
+    assert present == []
+
+
 
 def test_invariant_suite_builds_the_scenario_invariants_once_per_scenario(monkeypatch):
     """One sweep trial builds the invariants of its scenario once, shared by
@@ -517,7 +564,7 @@ def test_trace_pairing_formula_pairs_each_two_vectors_once(monkeypatch):
     rng = random.Random(79)
     vectors = [exact_vector(*[rng.randint(1, 3) for _ in range(6)]) for _ in range(6)]
     calls = _counting_dots(monkeypatch)
-    value = torsion.trace_pairing_formula(vectors, 3, EXACT)
+    value = torsion.trace_pairing_formula(vectors, 3)
     assert len(calls) <= 15
     product = clifford_of_vector(vectors[0])
     for x in vectors[1:]:
