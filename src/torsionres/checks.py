@@ -277,7 +277,15 @@ def _perturbed_jacobian(s: Scenario, rng: random.Random) -> Scenario:
     return replace(s, V=VectorFieldJet(v0, tuple(rows)))
 
 
-def scenario_invariant_suite(s: Scenario, rng: random.Random, tol: float = 0.0) -> CheckOutcome:
+# Term groups that a derived scenario leaves unchanged, judged next to the
+# assembled density.  A new X changes h1 and l2; the u<->w exchange, and a
+# new Jacobian with the same d|V|^2, change h1, l1, k1 and k2; each by parts
+# that cancel in the sum of the last group.
+_X_GROUPS = (("l1",), ("l3",), ("l4",), ("l5",), ("k1",), ("k2",), ("h1", "l2"))
+_UW_AND_JACOBIAN_GROUPS = (("l2",), ("l3",), ("l4",), ("l5",), ("h1", "l1", "k1", "k2"))
+
+
+def scenario_invariant_suite(s: Scenario, rng: random.Random) -> CheckOutcome:
     """Every torsion-pipeline invariant on one scenario.
 
     The first three records are the gating rows of the scenario's report:
@@ -286,81 +294,70 @@ def scenario_invariant_suite(s: Scenario, rng: random.Random, tol: float = 0.0) 
     symmetry, Jacobian reduction and the scaling law, on derived scenarios:
     a new X, Jacobian or V runs the term route alone, and the u-variants
     retrace the scenario's own term symbols.  The assembled density is 0 in
-    exact mode, so the two u-variants also judge the terms: linearity each
-    of the eight, and the u<->w exchange l2..l5 and h1 + l1 + k1 + k2 (each
-    of those four changes, by parts that cancel in their sum).  Every float
-    value is judged by the report's rule, relative to the largest term
-    compared.
+    exact mode, so the four derived scenarios that keep it also judge the
+    terms: linearity each of the eight, X-independence the groups of
+    ``_X_GROUPS``, the u<->w exchange and Jacobian reduction those of
+    ``_UW_AND_JACOBIAN_GROUPS``.  Every float value is judged by the
+    report's rule, relative to the largest term compared.
     """
     out = _new_outcome("invariants")
     fld = s.field
-    is_float = fld.kind == "float"
-    tol = tol if is_float else 0.0
 
     def compare(left, right, *term_sets) -> Comparison:
-        return Comparison("invariant", left, right, True, tol, term_scale(*term_sets))
+        return Comparison("invariant", left, right, True, term_scale(*term_sets))
 
     def record(rows: List[Comparison], line: str, gates: Sequence[Comparison] = ()) -> None:
         worst = max(abs(row.diff) for row in rows)
         passed = all(row.passed for row in [*rows, *gates])
         out.record(passed, line.format(worst), worst)
 
-    def term_route(scenario: Scenario):
-        terms = term_densities(scenario, tol)
-        return sum_terms(terms), terms
+    def unchanged(terms, groups: Sequence[Sequence[str]]) -> List[Comparison]:
+        """The assembled density, then the sum of each group, of ``terms``
+        against the scenario's own."""
+        return [compare(sum_terms(bd.terms, names), sum_terms(terms, names), bd.terms, terms)
+                for names in (TERM_NAMES, *groups)]
 
     def retrace(scenario: Scenario):
-        terms = trace_terms(bd.symbols, torsion_prefactor_element(scenario), s.m)
-        return sum_terms(terms), terms
+        return trace_terms(bd.symbols, torsion_prefactor_element(scenario), s.m)
 
-    bd = assemble_density(s, tol)
+    bd = assemble_density(s)
     inv = scenario_invariants(s)
-    *term_rows, oracle_row, imag_row = gating_comparisons(
-        s, bd, reference_term_densities(inv), tol
-    )
+    *term_rows, oracle_row, imag_row = gating_comparisons(s, bd, reference_term_densities(inv))
     record([oracle_row], "assembled equals composition oracle (residual {:.2e})")
     record(term_rows, "per-term densities match derived closed forms (worst {:.2e})")
     record([imag_row], "assembled density is real ({:.2e})")
 
     other_x = FrameVector(s.n, _random_components(s.n, s.mode, rng))
-    x_sum, x_terms = term_route(replace(s, X=other_x))
-    record([compare(bd.assembled, x_sum, bd.terms, x_terms)],
+    x_terms = term_densities(replace(s, X=other_x))
+    record(unchanged(x_terms, _X_GROUPS),
            "assembled density is X-independent (residual {:.2e})")
 
     # trilinearity in u: each term is linear in the prefactor argument
     two = fld.of(2)
-    two_u_sum, two_u_terms = retrace(replace(s, u=s.u.scale(two)))
-    record([compare(two_u_sum, bd.assembled.scale(two), bd.terms, two_u_terms)]
+    two_u_terms = retrace(replace(s, u=s.u.scale(two)))
+    record([compare(sum_terms(two_u_terms), bd.assembled.scale(two), bd.terms, two_u_terms)]
            + [compare(two_u_terms[name], bd.terms[name].scale(two), bd.terms, two_u_terms)
               for name in TERM_NAMES],
            "density is linear in u (residual {:.2e})")
 
     s_wu = replace(s, u=s.w, w=s.u)
-    wu_sum, wu_terms = retrace(s_wu)
-
-    def exchanged(*names: str) -> Comparison:
-        return compare(sum_terms(bd.terms, names), sum_terms(wu_terms, names),
-                       bd.terms, wu_terms)
-
+    wu_terms = retrace(s_wu)
     theorem = compare(theorem_density(inv), theorem_density(scenario_invariants(s_wu)),
                       bd.terms, wu_terms)
-    record([compare(bd.assembled, wu_sum, bd.terms, wu_terms)]
-           + [exchanged(name) for name in ("l2", "l3", "l4", "l5")]
-           + [exchanged("h1", "l1", "k1", "k2")],
+    record(unchanged(wu_terms, _UW_AND_JACOBIAN_GROUPS),
            "outer arguments u<->w may be exchanged (residual {:.2e})", [theorem])
 
-    jac_sum, jac_terms = term_route(_perturbed_jacobian(s, rng))
-    record([compare(bd.assembled, jac_sum, bd.terms, jac_terms)],
+    jac_terms = term_densities(_perturbed_jacobian(s, rng))
+    record(unchanged(jac_terms, _UW_AND_JACOBIAN_GROUPS),
            "density depends on the Jacobian only through d|V|^2 (residual {:.2e})")
 
-    lam = fld.of(Fraction(2) if not is_float else 2.0)
     s_scaled = replace(s, V=VectorFieldJet(
-        s.V.value.scale(lam), tuple(tuple(lam * c for c in row) for row in s.V.jacobian)
+        s.V.value.scale(two), tuple(tuple(two * c for c in row) for row in s.V.jacobian)
     ))
     factor = fld.one
     for _ in range(4 * s.m - 4):
-        factor = factor / lam
-    td_scaled = term_densities(s_scaled, tol)
+        factor = factor / two
+    td_scaled = term_densities(s_scaled)
     record([compare(td_scaled[name], bd.terms[name].scale(factor), td_scaled)
             for name in TERM_NAMES],
            "scaling law density(2V) = 2^(-4m+4) density(V) (worst {:.2e})")
@@ -369,7 +366,7 @@ def scenario_invariant_suite(s: Scenario, rng: random.Random, tol: float = 0.0) 
     return out
 
 
-def run_sweep(m: int, trials: int, seed: int, mode: str, tol: float = 1e-9) -> CheckOutcome:
+def run_sweep(m: int, trials: int, seed: int, mode: str) -> CheckOutcome:
     """Random-scenario sweep over the full invariant suite."""
     if m not in (2, 3, 4):
         raise ValueError(f"sweep supports m in {{2,3,4}}, got {m}")
@@ -379,7 +376,7 @@ def run_sweep(m: int, trials: int, seed: int, mode: str, tol: float = 1e-9) -> C
     out = _new_outcome(f"sweep m={m} mode={mode}")
     for t in range(trials):
         s = random_scenario(m, mode, rng)
-        sub = scenario_invariant_suite(s, rng, tol)
+        sub = scenario_invariant_suite(s, rng)
         out.cases += 1
         out.max_residual = max(out.max_residual, sub.max_residual)
         if not sub.passed:

@@ -1,17 +1,19 @@
 """Batch front door: scenario reports, invariant sweeps, identity checks.
 
-    torsionres run --scenario path.json [--tolerance 1e-9] [--out report.json]
+    torsionres run --scenario path.json [--out report.json]
     torsionres sweep --m 2 --trials 100 --seed 1 --mode exact
     torsionres lemma --name 3.4 [--seed 1]
 
 Exit codes: 0 all comparisons passed, 1 a verification comparison or a
-symbol check inside the pipeline failed, 2 usage or input error.
+symbol check inside the pipeline failed, 2 usage or input error (a float
+scenario whose report would hold a value out of float range included).
+Exact mode compares exactly; float mode compares within the float
+field's fixed ``tolerance``, relative to the scale of each comparison.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -34,8 +36,12 @@ def _cmd_run(args) -> int:
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         print(f"error: --out: no directory for {args.out}", file=sys.stderr)
         return EXIT_USAGE
-    doc = build_report(scenario, tolerance=args.tolerance, perturb=perturb)
-    text = report_to_text(doc)
+    doc = build_report(scenario, perturb=perturb)
+    try:
+        text = report_to_text(doc)
+    except ValueError as exc:
+        print(f"error: the report holds a value out of float range ({exc})", file=sys.stderr)
+        return EXIT_USAGE
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -54,7 +60,7 @@ def _cmd_sweep(args) -> int:
     if args.trials < 1:
         print("error: trials must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    outcome = run_sweep(args.m, args.trials, args.seed, args.mode, tol=args.tolerance)
+    outcome = run_sweep(args.m, args.trials, args.seed, args.mode)
     for line in outcome.lines:
         print(line)
     return EXIT_OK if outcome.passed else EXIT_VERIFICATION
@@ -72,17 +78,6 @@ def _cmd_lemma(args) -> int:
     return EXIT_OK if outcome.passed else EXIT_VERIFICATION
 
 
-def _tolerance(text: str) -> float:
-    """A float-mode tolerance: a finite number, zero or more."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torsionres",
@@ -95,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="evaluate one scenario file and emit its report")
     p_run.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    p_run.add_argument("--tolerance", type=_tolerance, default=1e-9,
-                       help="relative tolerance for float-mode comparisons")
     p_run.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_run.set_defaults(func=_cmd_run)
 
@@ -105,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--mode", required=True, choices=("exact", "float"))
-    p_sweep.add_argument("--tolerance", type=_tolerance, default=1e-9,
-                         help="relative tolerance for float-mode comparisons")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_lemma = sub.add_parser("lemma", help="run one targeted identity check")

@@ -36,10 +36,10 @@ class VerificationError(AssertionError):
     """A symbolic identity check failed; the message carries the residual."""
 
 
-def require_symbols_equal(a: Symbol, b: Symbol, tol: float, message: str) -> None:
+def require_symbols_equal(a: Symbol, b: Symbol, message: str) -> None:
     """Raise ``VerificationError`` with ``message`` and the residual unless
-    ``symbols_equal(a, b, tol)``."""
-    if not symbols_equal(a, b, tol):
+    ``symbols_equal(a, b)``."""
+    if not symbols_equal(a, b):
         raise VerificationError(f"{message} (residual {symbol_residual(a, b):.6g})")
 
 
@@ -329,11 +329,11 @@ def laplacian_inverse_check(curv: CurvatureData) -> Tuple[Symbol, Symbol]:
     q2_closed, q3_closed = laplacian_inverse_closed_forms(jets, sigma1_closed)
 
     require_symbols_equal(
-        sym.take_degree(1), sigma1_closed, 0.0,
+        sym.take_degree(1), sigma1_closed,
         "jet-built sigma_1 of the Laplacian is off closed form",
     )
-    require_symbols_equal(q2, q2_closed, 0.0, "sigma_-2 mismatch")
-    require_symbols_equal(q3, q3_closed, 0.0, "sigma_-3 mismatch")
+    require_symbols_equal(q2, q2_closed, "sigma_-2 mismatch")
+    require_symbols_equal(q3, q3_closed, "sigma_-3 mismatch")
     return q2, q3
 
 
@@ -593,18 +593,16 @@ def rescaled_dirac_inverse_closed_forms(s: Scenario, square: Symbol) -> Tuple[Sy
     return q2, q3
 
 
-def rescaled_dirac_inverse_symbols(
-    s: Scenario, square: Symbol, tol: float = 0.0
-) -> Tuple[Symbol, Symbol]:
+def rescaled_dirac_inverse_symbols(s: Scenario, square: Symbol) -> Tuple[Symbol, Symbol]:
     """Invert the squared-operator symbol ``square`` and confirm the closed
     forms: q_{-2} through first jet order, q_{-3} at the base point (its
     value already carries the first derivatives of V)."""
     q2, q3 = symbol_invert_order2(square)
     q2_closed, q3_closed = rescaled_dirac_inverse_closed_forms(s, square)
     require_symbols_equal(
-        q2, q2_closed, tol, "q_{-2} recursion does not match |V|^{-4}|xi|^{-2}"
+        q2, q2_closed, "q_{-2} recursion does not match |V|^{-4}|xi|^{-2}"
     )
-    require_symbols_equal(q3, q3_closed, tol, "q_{-3} recursion does not match its closed form")
+    require_symbols_equal(q3, q3_closed, "q_{-3} recursion does not match its closed form")
     return q2, q3
 
 

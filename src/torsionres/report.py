@@ -36,7 +36,7 @@ from .reference import (
     scenario_invariants,
     theorem_density,
 )
-from .scalars import GaussianRational
+from .scalars import FLOAT, GaussianRational
 from .torsion import TERM_NAMES, TermBreakdown, assemble_density, sum_terms
 
 SCHEMA_VERSION = 1
@@ -65,7 +65,6 @@ class Comparison:
     left: DensityValue
     right: DensityValue
     gating: bool
-    tolerance: float
     scale: float = 1.0  # float mode: the tolerance is relative to at least this
 
     @property
@@ -74,10 +73,13 @@ class Comparison:
 
     @property
     def passed(self) -> bool:
-        if self.tolerance == 0.0:
+        """Judged in the field of the compared values: exact values are
+        equal, float values agree within the float tolerance relative to
+        the scale."""
+        if isinstance(self.left.value, GaussianRational):
             return self.left.value == self.right.value
         scale = max(self.scale, abs(complex(self.left.value)), abs(complex(self.right.value)))
-        return abs(self.diff) <= self.tolerance * scale
+        return abs(self.diff) <= FLOAT.tolerance * scale
 
     def to_json(self, mode: str) -> Dict:
         return {
@@ -128,7 +130,6 @@ def gating_comparisons(
     s: Scenario,
     breakdown: TermBreakdown,
     reference: Dict[str, DensityValue],
-    tolerance: float,
 ) -> List[Comparison]:
     """The rows that decide a scenario's verdict: each term against its
     derived closed form, the assembled density against the composition
@@ -137,33 +138,28 @@ def gating_comparisons(
     scale = term_scale(breakdown.terms)
     rows = [
         Comparison(f"term:{name}:reference", breakdown.terms[name], reference[name],
-                   True, tolerance, scale)
+                   True, scale)
         for name in TERM_NAMES
     ]
     rows.append(Comparison("assembled:composition_oracle", breakdown.assembled,
-                           breakdown.composition_oracle, True, tolerance, scale))
+                           breakdown.composition_oracle, True, scale))
     if s.mode == "exact":
         imag_val = GaussianRational(0, breakdown.assembled.value.im)
     else:
         imag_val = complex(0.0, complex(breakdown.assembled.value).imag)
     rows.append(Comparison("assembled:imaginary_part_zero", DensityValue(imag_val, s.m),
-                           DensityValue(s.field.of(0), s.m), True, tolerance, scale))
+                           DensityValue(s.field.of(0), s.m), True, scale))
     return rows
 
 
-def build_report(
-    s: Scenario,
-    tolerance: float = 1e-9,
-    perturb: Optional[Tuple[str, Fraction]] = None,
-) -> Dict:
+def build_report(s: Scenario, perturb: Optional[Tuple[str, Fraction]] = None) -> Dict:
     """Run the pipeline on one scenario and assemble the report document.
 
     ``perturb`` is the negative-control hook: ("l4", delta) shifts the
     derived closed form of that term by delta (in density units) before
     the gating comparison, which must then fail in exactly that term.
     """
-    cmp_tol = 0.0 if s.mode == "exact" else tolerance
-    breakdown = assemble_density(s, cmp_tol)
+    breakdown = assemble_density(s)
     terms = breakdown.terms
     inv = scenario_invariants(s)
     reference = reference_term_densities(inv)
@@ -178,19 +174,19 @@ def build_report(
         reference = dict(reference)
         reference[term] = DensityValue(reference[term].value + s.field.of(delta), s.m)
 
-    comparisons = gating_comparisons(s, breakdown, reference, cmp_tol)
+    comparisons = gating_comparisons(s, breakdown, reference)
     for name in TERM_NAMES:
         comparisons.append(
-            Comparison(f"term:{name}:paper", terms[name], printed[name], False, cmp_tol)
+            Comparison(f"term:{name}:paper", terms[name], printed[name], False)
         )
     h2_machine = sum_terms(terms, ("l1", "l2", "l3", "l4", "l5"))
     h3_machine = sum_terms(terms, ("k1", "k2"))
     comparisons.extend(
         [
-            Comparison("group:h1:paper", terms["h1"], groups["h1"], False, cmp_tol),
-            Comparison("group:h2:paper", h2_machine, groups["h2"], False, cmp_tol),
-            Comparison("group:h3:paper", h3_machine, groups["h3"], False, cmp_tol),
-            Comparison("assembled:theorem", breakdown.assembled, theorem, False, cmp_tol),
+            Comparison("group:h1:paper", terms["h1"], groups["h1"], False),
+            Comparison("group:h2:paper", h2_machine, groups["h2"], False),
+            Comparison("group:h3:paper", h3_machine, groups["h3"], False),
+            Comparison("assembled:theorem", breakdown.assembled, theorem, False),
         ]
     )
 
@@ -198,7 +194,7 @@ def build_report(
     doc = {
         "schema": SCHEMA_VERSION,
         "scenario": scenario_to_json(s),
-        "tolerance": tolerance,
+        "tolerance": FLOAT.tolerance,
         "terms": {name: density_to_json(terms[name], s.mode) for name in TERM_NAMES},
         "assembled": density_to_json(breakdown.assembled, s.mode),
         "composition_oracle": density_to_json(breakdown.composition_oracle, s.mode),
@@ -211,8 +207,11 @@ def build_report(
 
 
 def report_to_text(doc: Dict) -> str:
-    """Deterministic serialization; round-trips through ``json.loads``."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Deterministic serialization; round-trips through ``json.loads``.
+
+    Raises ``ValueError`` if a float value is not finite: a report never
+    holds ``NaN`` or ``Infinity``, which are not JSON."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def summarize_report(doc: Dict) -> List[str]:

@@ -5,10 +5,13 @@ Every coefficient in the engine lives in one of two scalar fields:
 * ``exact``  -- Gaussian rationals.  Each value ``(a + b i)/d`` is one
   triple of arbitrary-precision ints, kept in the normal form ``d > 0``,
   ``gcd(a, b, d) == 1``, so that equal values have equal triples.  All
-  acceptance checks run here, so "equal" means equal.
+  acceptance checks run here, so "equal" means equal: the field's
+  ``tolerance`` is 0.
 * ``float`` -- plain Python ``complex``, for scenarios given as
   floating-point numbers and for comparison with the float dense-matrix
-  oracle.  It is not faster than ``exact``.
+  oracle.  It is not faster than ``exact``.  Two float values count as
+  equal within the field's ``tolerance``, relative to the scale of the
+  values each comparison judges.  Neither tolerance is an option.
 
 The two kinds never mix silently.  A ``GaussianRational`` refuses
 arithmetic with ``float``/``complex`` operands, so a mode error surfaces at
@@ -223,6 +226,7 @@ class _ExactField:
     """Constructors and predicates for exact-mode scalars."""
 
     kind = "exact"
+    tolerance = 0.0  # values compare exactly
 
     zero = None  # type: GaussianRational
     one = None  # type: GaussianRational
@@ -255,6 +259,7 @@ class _FloatField:
     """Constructors and predicates for float-mode scalars."""
 
     kind = "float"
+    tolerance = 1e-9  # relative to the scale of the values compared
 
     zero = complex(0.0)
     one = complex(1.0)

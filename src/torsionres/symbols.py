@@ -80,8 +80,8 @@ class Symbol:
         """Drop rounding residue of exact cancellations (float mode only).
 
         Coefficients below 1e-14 times the largest magnitude of their
-        (xi-degree, x-jet degree) group are noise far beneath the 1e-9
-        comparison scale; keeping them densifies every later product.  Each
+        (xi-degree, x-jet degree) group are noise far beneath the field's
+        comparison tolerance; keeping them densifies every later product.  Each
         group has its own scale because the groups are never compared with
         each other: large x-linear jet coefficients say nothing about the
         size of the base-point value.
@@ -431,12 +431,12 @@ def symbol_invert_order2(p: Symbol) -> Tuple[Symbol, Symbol]:
             raise ValueError(f"unsupported degree-2 term shape {(mono, k)}")
 
     # split a common scalar lambda * delta_jk off the quadratic monomials;
-    # in float mode allow rounding residue of 1e-9 times the largest
-    # base-point coefficient of the leading form, the only values compared
-    float_mode = field.kind == "float"
-    tol = 0.0
-    if float_mode:
-        tol = 1e-9 * max(jet.value_at_origin(dim).max_abs() for jet in [*quad.values(), base_jet])
+    # in float mode allow rounding residue of the field's tolerance times
+    # the largest base-point coefficient of the leading form, the only
+    # values compared
+    tol = field.tolerance
+    if tol:
+        tol *= max(jet.value_at_origin(dim).max_abs() for jet in [*quad.values(), base_jet])
     lam = None
     for j in range(nvars):
         mono = tuple(2 if i == j else 0 for i in range(nvars))
@@ -445,13 +445,13 @@ def symbol_invert_order2(p: Symbol) -> Tuple[Symbol, Symbol]:
         c0 = field.of(0) if c0 is None else c0
         if lam is None:
             lam = c0
-        elif lam != c0 and not (float_mode and abs(lam - c0) <= tol):
+        elif lam != c0 and not (tol and abs(lam - c0) <= tol):
             raise ValueError("leading quadratic form is not scalar at the base point")
     for mono, jet in quad.items():
         if max(mono) == 2:
             continue
         mixed0 = jet.value_at_origin(dim)
-        if not mixed0.is_zero() and not (float_mode and mixed0.max_abs() <= tol):
+        if not mixed0.is_zero() and not (tol and mixed0.max_abs() <= tol):
             raise ValueError(
                 "leading quadratic form has a mixed xi_j xi_k term at the base point"
             )
@@ -598,12 +598,9 @@ def _normal_coefficients(s: Symbol) -> Iterable:
         yield from poly.values()
 
 
-def symbol_is_zero(s: Symbol, tol: float = 0.0) -> bool:
-    """Exact zero test modulo the relation sum_i xi_i^2 = |xi|^2, or every
-    normal-form coefficient within ``tol`` when ``tol`` is nonzero."""
-    if tol == 0.0:
-        return not any(_normal_coefficients(s))
-    return all(abs(complex(val)) <= tol for val in _normal_coefficients(s))
+def symbol_is_zero(s: Symbol) -> bool:
+    """Exact zero test modulo the relation sum_i xi_i^2 = |xi|^2."""
+    return not any(_normal_coefficients(s))
 
 
 def symbol_residual(a: Symbol, b: Symbol) -> float:
@@ -622,9 +619,13 @@ def _max_coefficient(s: Symbol) -> float:
     return mx
 
 
-def symbols_equal(a: Symbol, b: Symbol, tol: float = 0.0) -> bool:
-    """Exact equality, or agreement within ``tol`` relative to the largest
-    coefficient of either operand (1.0 if both are zero) in float mode."""
-    if tol:
-        tol *= max(_max_coefficient(a), _max_coefficient(b)) or 1.0
-    return symbol_is_zero(a - b, tol)
+def symbols_equal(a: Symbol, b: Symbol) -> bool:
+    """Equality in the operands' field: exact, or in float mode every
+    normal-form coefficient of ``a - b`` within the field's tolerance
+    relative to the largest coefficient of either operand (1.0 if both are
+    zero)."""
+    tol = a.field.tolerance
+    if not tol:
+        return symbol_is_zero(a - b)
+    tol *= max(_max_coefficient(a), _max_coefficient(b)) or 1.0
+    return all(abs(complex(val)) <= tol for val in _normal_coefficients(a - b))

@@ -130,7 +130,7 @@ _SUB_PIECE_TO_TERM = {
 }
 
 
-def pipeline_symbols(s: Scenario, dirac: Symbol, tol: float = 0.0) -> Dict[str, Symbol]:
+def pipeline_symbols(s: Scenario, dirac: Symbol) -> Dict[str, Symbol]:
     """Build and cross-check the degree -2m symbols of h1, l1..l5, k1, k2,
     in ``TERM_NAMES`` order and at the base point.
 
@@ -152,7 +152,7 @@ def pipeline_symbols(s: Scenario, dirac: Symbol, tol: float = 0.0) -> Dict[str, 
     n, m, fld = s.n, s.m, s.field
     frags = rescaled_dirac_square_sigma1_pieces(s)
     dsq = rescaled_dirac_square_symbols(s, frags)
-    q2, q3 = rescaled_dirac_inverse_symbols(s, dsq, tol)
+    q2, q3 = rescaled_dirac_inverse_symbols(s, dsq)
 
     # the only x-derivatives (constant, the jets being first order), then
     # everything at the base point
@@ -186,7 +186,7 @@ def pipeline_symbols(s: Scenario, dirac: Symbol, tol: float = 0.0) -> Dict[str, 
     for piece in sub_pieces.values():
         recombined = recombined + piece
     require_symbols_equal(
-        recombined, symbol_product(head, q3), tol,
+        recombined, symbol_product(head, q3),
         "sub-leading power symbol: the fragments of the square and of its "
         "inverse do not add up to m q_{-2}^{m-1} q_{-3}",
     )
@@ -224,7 +224,7 @@ def pipeline_symbols(s: Scenario, dirac: Symbol, tol: float = 0.0) -> Dict[str, 
     k1_sym = k1_sym.scale(minus_i)
     k2_sym = k2_sym.scale(minus_i)
     require_symbols_equal(
-        k1_sym + k2_sym, check.scale(minus_i), tol,
+        k1_sym + k2_sym, check.scale(minus_i),
         "H3 split does not recombine at the base point",
     )
 
@@ -245,9 +245,9 @@ def trace_terms(
     return {name: trace_integrate(sym, prefactor, m) for name, sym in symbols.items()}
 
 
-def term_densities(s: Scenario, tol: float = 0.0) -> Dict[str, DensityValue]:
+def term_densities(s: Scenario) -> Dict[str, DensityValue]:
     """Machine values of h1, l1..l5, k1, k2 for one scenario."""
-    symbols = pipeline_symbols(s, rescaled_dirac_symbols(s), tol)
+    symbols = pipeline_symbols(s, rescaled_dirac_symbols(s))
     return trace_terms(symbols, torsion_prefactor_element(s), s.m)
 
 
@@ -293,12 +293,12 @@ class TermBreakdown:
     symbols: Dict[str, Symbol]
 
 
-def assemble_density(s: Scenario, tol: float = 0.0) -> TermBreakdown:
+def assemble_density(s: Scenario) -> TermBreakdown:
     """Both routes: the machine terms with their sum, and the generic oracle,
     from one sigma(T) and one prefactor."""
     dirac = rescaled_dirac_symbols(s)
     prefactor = torsion_prefactor_element(s)
-    symbols = pipeline_symbols(s, dirac, tol)
+    symbols = pipeline_symbols(s, dirac)
     terms = trace_terms(symbols, prefactor, s.m)
     oracle = composition_oracle_density(dirac, prefactor, s.m)
     return TermBreakdown(terms, sum_terms(terms), oracle, symbols)

@@ -27,10 +27,10 @@ def square_symbols(s: Scenario):
     return rescaled_dirac_square_symbols(s, rescaled_dirac_square_sigma1_pieces(s))
 
 
-def inverse_symbols(s: Scenario, tol: float = 0.0):
+def inverse_symbols(s: Scenario):
     """q_{-2} and q_{-3} of the squared rescaled operator, checked against
     their closed forms."""
-    return rescaled_dirac_inverse_symbols(s, square_symbols(s), tol)
+    return rescaled_dirac_inverse_symbols(s, square_symbols(s))
 
 
 @pytest.fixture

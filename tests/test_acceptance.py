@@ -219,7 +219,7 @@ def test_criterion_06_per_term_densities():
     worst = 0.0
     for _ in range(25):
         s = random_scenario(3, "float", rng)
-        td = term_densities(s, tol=1e-9)
+        td = term_densities(s)
         ref = reference_term_densities(scenario_invariants(s))
         for name in TERM_NAMES:
             a, b = complex(td[name].value), complex(ref[name].value)

@@ -3,12 +3,13 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsionres import checks, torsion
+from torsionres import checks, geometry, torsion
 from torsionres.clifford import FrameVector
 from torsionres.checks import scenario_invariant_suite
 from torsionres.cli import main
@@ -286,7 +287,7 @@ def test_float_mode_report(tmp_path):
         doc[key] = [float(Fraction(c)) for c in doc[key]]
     path = write_scenario(tmp_path, doc, "float.json")
     scenario, _ = load_scenario(path)
-    rep = build_report(scenario, tolerance=1e-9)
+    rep = build_report(scenario)
     assert rep["pass"] is True
     assert abs(rep["theorem"]["value"]["re"] - 78.95683520871486) <= 1e-6
 
@@ -368,32 +369,50 @@ def _float_scenario_doc():
     return doc
 
 
-def _tolerance_argv(command, tmp_path, tolerance):
+def _float_or_exact_argv(command, mode, tmp_path):
     if command == "run":
-        path = write_scenario(tmp_path, _float_scenario_doc())
-        return ["run", "--scenario", path, "--tolerance", tolerance]
-    return ["sweep", "--m", "2", "--trials", "1", "--mode", "float", "--tolerance", tolerance]
+        doc = _float_scenario_doc() if mode == "float" else DERIVED
+        return ["run", "--scenario", write_scenario(tmp_path, doc)]
+    return ["sweep", "--m", "2", "--trials", "1", "--mode", mode]
 
 
-@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_cli_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, command, tolerance):
+def test_cli_has_no_tolerance_option(tmp_path, capsys, command):
+    """Each scalar field fixes its tolerance, so ``--tolerance`` is a usage
+    error, even at the float field's own 1e-9."""
     with pytest.raises(SystemExit) as exc:
-        main(_tolerance_argv(command, tmp_path, tolerance))
+        main(_float_or_exact_argv(command, "float", tmp_path) + ["--tolerance", "1e-9"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "--tolerance" in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("tolerance", ["0", "1e-20"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_cli_failed_symbol_check_is_one_error_line(tmp_path, capsys, command, tolerance):
-    """A tolerance below float rounding fails a symbol check inside the
-    pipeline: exit 1 with the check and its residual, no traceback."""
-    assert main(_tolerance_argv(command, tmp_path, tolerance)) == 1
+def test_cli_failed_symbol_check_is_one_error_line(tmp_path, capsys, monkeypatch, command, mode):
+    """A closed form that the inversion does not match fails a symbol check
+    inside the pipeline: exit 1 with the check and its residual, no
+    traceback."""
+    closed_forms = geometry.rescaled_dirac_inverse_closed_forms
+
+    def doubled_q2(s, square):
+        q2, q3 = closed_forms(s, square)
+        return q2 + q2, q3
+
+    monkeypatch.setattr(geometry, "rescaled_dirac_inverse_closed_forms", doubled_q2)
+    assert main(_float_or_exact_argv(command, mode, tmp_path)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(r"error: .*\(residual [0-9.e+-]+\)\n", captured.err)
+
+
+def test_cli_report_out_of_float_range_is_a_usage_error(tmp_path, capsys):
+    """u, v and w at 1e300 overflow the prefactor, so every density is not
+    finite: one ``error:`` line and exit 2, never a report holding NaN."""
+    doc = json.loads((Path(__file__).parent / "data" / "float_m2_scenario.json").read_text())
+    for key in ("u", "v", "w"):
+        doc[key][0] = 1e300
+    _assert_usage_error(["run", "--scenario", write_scenario(tmp_path, doc)], capsys)
 
 
 def test_cli_out_into_missing_directory(tmp_path, capsys):
@@ -476,7 +495,7 @@ def test_float_report_holds_at_scaled_v(seed, exponent, mantissa):
     lam = mantissa * Fraction(10) ** exponent
     exact = term_densities(_scaled(base, lam, EXACT))
     s_float = _scaled(base, lam, FLOAT)
-    doc = build_report(s_float, tolerance=1e-9)
+    doc = build_report(s_float)
     assert doc["pass"] is True
     # terms scale as |V|^{-4m+4}; that is their size if all of them vanish
     scale = max(abs(complex(exact[name].value)) for name in TERM_NAMES) or float(lam) ** -4
@@ -492,7 +511,7 @@ def test_float_sweep_invariants_hold_at_scaled_v():
     rng = random.Random(5)
     for _ in range(3):
         s = _scaled(random_scenario(2, "float", rng), 1e-2, FLOAT)
-        out = scenario_invariant_suite(s, random.Random(1), 1e-9)
+        out = scenario_invariant_suite(s, random.Random(1))
         assert out.passed, [line for line in out.lines if line.startswith("FAIL")]
 
 
@@ -501,9 +520,9 @@ def test_float_sweep_gates_like_the_report_at_small_terms(monkeypatch):
     off by 1e-6 of the largest term fails the report's gating, and the
     sweep's per-term invariant, judged by the same rule, fails with it."""
     s = _scaled(random_scenario(2, "float", random.Random(5)), 10, FLOAT)
-    shift = 1e-6 * max(abs(complex(d.value)) for d in term_densities(s, 1e-9).values())
+    shift = 1e-6 * max(abs(complex(d.value)) for d in term_densities(s).values())
     assert 1e-13 < shift < 1e-10
-    assert build_report(s, 1e-9, perturb=("l4", Fraction(shift)))["pass"] is False
+    assert build_report(s, perturb=("l4", Fraction(shift)))["pass"] is False
 
     derived = checks.reference_term_densities
 
@@ -513,9 +532,37 @@ def test_float_sweep_gates_like_the_report_at_small_terms(monkeypatch):
         return ref
 
     monkeypatch.setattr(checks, "reference_term_densities", shifted)
-    out = scenario_invariant_suite(s, random.Random(1), 1e-9)
+    out = scenario_invariant_suite(s, random.Random(1))
     failed = [line for line in out.lines if line.startswith("FAIL")]
     assert len(failed) == 1 and "match derived closed forms" in failed[0]
+
+
+@pytest.mark.parametrize("variant, up, down, line", [
+    pytest.param("X", "l1", "k1", "assembled density is X-independent", id="X"),
+    pytest.param("Jacobian", "l3", "h1", "density depends on the Jacobian only through d|V|^2",
+                 id="Jacobian"),
+])
+def test_sweep_judges_the_terms_of_a_new_x_or_jacobian(monkeypatch, variant, up, down, line):
+    """One term shifted by +1 and another by -1 on the new-X or new-Jacobian
+    scenario alone leave the assembled density as it is; the record of that
+    scenario fails on the terms, at residual 1, and no other record fails."""
+    s = random_scenario(2, "exact", random.Random(7))
+    route = checks.term_densities
+
+    def shifted(scenario):
+        terms = route(scenario)
+        new_x = scenario.X is not s.X
+        new_jacobian = scenario.V.value is s.V.value and scenario.V is not s.V
+        if new_x if variant == "X" else new_jacobian:
+            one = EXACT.of(1)
+            terms[up] = DensityValue(terms[up].value + one, scenario.m)
+            terms[down] = DensityValue(terms[down].value - one, scenario.m)
+        return terms
+
+    monkeypatch.setattr(checks, "term_densities", shifted)
+    out = scenario_invariant_suite(s, random.Random(1))
+    failed = [row for row in out.lines if row.startswith("FAIL")]
+    assert failed == [f"FAIL {line} (residual 1.00e+00)"]
 
 
 def test_symbols_equal_is_relative_at_small_coefficients():
@@ -523,9 +570,9 @@ def test_symbols_equal_is_relative_at_small_coefficients():
     relative error of 1e-4 fails a 1e-9 comparison (an absolute floor of
     1.0 let it pass), while rounding-sized differences still pass."""
     s = _scaled(random_scenario(2, "float", random.Random(5)), 10, FLOAT)
-    q2, _ = inverse_symbols(s, 1e-9)
-    assert symbols_equal(q2, q2.scale(1 + 1e-4), 1e-9) is False
-    assert symbols_equal(q2, q2.scale(1 + 1e-12), 1e-9) is True
+    q2, _ = inverse_symbols(s)
+    assert symbols_equal(q2, q2.scale(1 + 1e-4)) is False
+    assert symbols_equal(q2, q2.scale(1 + 1e-12)) is True
 
 
 def test_sweep_trial_runs_the_oracle_once(monkeypatch):

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import random
 from dataclasses import replace
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from torsionres import (
-    checks, clifford, gamma, geometry, jets, reference, report, scalars, symbols, torsion,
+    checks, cli, clifford, gamma, geometry, jets, reference, report, scalars, symbols, torsion,
 )
 from torsionres.clifford import CliffordElement, FrameVector, clifford_of_vector, clifford_trace
 from torsionres.gamma import build_gamma_matrices, represent_element
@@ -225,8 +226,7 @@ def test_term_symbols_do_not_depend_on_u_v_w(m, mode, seed):
     rng = random.Random(seed)
     s = random_scenario(m, mode, rng)
     fresh = random_scenario(m, mode, rng)
-    tol = 1e-9 if mode == "float" else 0.0
-    symbols = pipeline_symbols(s, geometry.rescaled_dirac_symbols(s), tol)
+    symbols = pipeline_symbols(s, geometry.rescaled_dirac_symbols(s))
     assert list(symbols) == list(TERM_NAMES)
     for derived in (
         replace(s, u=s.u.scale(s.field.of(2))),
@@ -234,7 +234,7 @@ def test_term_symbols_do_not_depend_on_u_v_w(m, mode, seed):
         replace(s, u=fresh.u, v=fresh.v, w=fresh.w),
     ):
         retraced = trace_terms(symbols, torsion_prefactor_element(derived), m)
-        direct = term_densities(derived, tol)
+        direct = term_densities(derived)
         for name in TERM_NAMES:
             assert retraced[name] == direct[name], name
 
@@ -304,12 +304,12 @@ ROUTE_STEPS = (
 
 def test_route_steps_take_every_input_as_a_required_argument():
     """A route step has one call form: no input it reads has a default that
-    builds it when missing.  Only a tolerance may have a default."""
+    builds it when missing."""
     defaulted = [
         (fn.__name__, name)
         for fn in ROUTE_STEPS
         for name, param in inspect.signature(fn).parameters.items()
-        if param.default is not inspect.Parameter.empty and name != "tol"
+        if param.default is not inspect.Parameter.empty
     ]
     assert defaulted == []
 
@@ -331,7 +331,23 @@ FIXED_PARAMETERS = (
     (jets.invert_scalar_jet, "dim"),
     (geometry.rescaled_dirac_inverse_closed_forms, "pieces"),
     (geometry.rescaled_dirac_inverse_symbols, "pieces"),
+    # the tolerance is the scalar field's
+    (report.build_report, "tolerance"),
+    (report.gating_comparisons, "tolerance"),
+    (report.Comparison, "tolerance"),
+    (checks.run_sweep, "tol"),
+    (checks.scenario_invariant_suite, "tol"),
+    (torsion.assemble_density, "tol"),
+    (torsion.term_densities, "tol"),
+    (torsion.pipeline_symbols, "tol"),
+    (geometry.rescaled_dirac_inverse_symbols, "tol"),
+    (geometry.require_symbols_equal, "tol"),
+    (symbols.symbols_equal, "tol"),
+    (symbols.symbol_is_zero, "tol"),
 )
+
+# command-line options with one value in use
+FIXED_OPTIONS = (("run", "--tolerance"), ("sweep", "--tolerance"))
 
 # members that nothing reads
 UNREAD_MEMBERS = (
@@ -355,6 +371,14 @@ def test_no_function_takes_a_value_that_its_callers_never_vary():
         (getattr(owner, "__qualname__", owner.__name__), name)
         for owner, name in UNREAD_MEMBERS
         if hasattr(owner, name)
+    ]
+    commands = next(
+        action.choices for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    present += [
+        (command, option) for command, option in FIXED_OPTIONS
+        if option in commands[command]._option_string_actions
     ]
     assert present == []
 
@@ -660,7 +684,7 @@ def _dyadic_scenario(s):
 def _assert_float_matches_dyadic(s):
     """Each float term, the assembled value and the composition oracle lie
     within 1e-12 of the largest term of their exact-dyadic values."""
-    got = assemble_density(s, 1e-9)
+    got = assemble_density(s)
     want = assemble_density(_dyadic_scenario(s))
     assert not want.assembled.value and not want.composition_oracle.value
     big = max(abs(complex(want.terms[name].value)) for name in TERM_NAMES)
@@ -683,3 +707,16 @@ def test_float_density_matches_its_exact_dyadic_value(m, lam):
 def test_float_golden_scenarios_match_their_exact_dyadic_values(name):
     scenario, _ = load_scenario(str(Path(__file__).parent / "data" / f"{name}_scenario.json"))
     _assert_float_matches_dyadic(scenario)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_float_routes_take_their_tolerance_from_the_field(m):
+    """Float values compare within the float field's tolerance: on a random
+    float scenario the pipeline's symbol checks and every sweep invariant
+    pass with no tolerance argument (compared exactly, the symbol checks
+    fail on rounding residue of about 1e-17)."""
+    s = random_scenario(m, "float", random.Random(9))
+    breakdown = assemble_density(s)
+    assert term_densities(s) == breakdown.terms
+    out = checks.scenario_invariant_suite(s, random.Random(1))
+    assert out.passed, [line for line in out.lines if line.startswith("FAIL")]
