@@ -376,15 +376,27 @@ def _float_or_exact_argv(command, mode, tmp_path):
     return ["sweep", "--m", "2", "--trials", "1", "--mode", mode]
 
 
+def _assert_tolerance_refused(tmp_path, capsys, command, tolerance):
+    with pytest.raises(SystemExit) as exc:
+        main(_float_or_exact_argv(command, "float", tmp_path) + ["--tolerance", tolerance])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--tolerance" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_cli_has_no_tolerance_option(tmp_path, capsys, command):
     """Each scalar field fixes its tolerance, so ``--tolerance`` is a usage
     error, even at the float field's own 1e-9."""
-    with pytest.raises(SystemExit) as exc:
-        main(_float_or_exact_argv(command, "float", tmp_path) + ["--tolerance", "1e-9"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert "--tolerance" in captured.err and captured.out == ""
+    _assert_tolerance_refused(tmp_path, capsys, command, "1e-9")
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, command, tolerance):
+    """A negative or non-finite ``--tolerance`` stays a usage error now that
+    the option is gone altogether."""
+    _assert_tolerance_refused(tmp_path, capsys, command, tolerance)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
