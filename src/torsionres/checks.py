@@ -59,9 +59,9 @@ from .torsion import (
 @dataclass
 class CheckOutcome:
     name: str
-    passed: bool
-    max_residual: float
-    cases: int
+    passed: bool = True
+    max_residual: float = 0.0
+    cases: int = 0
     failures: int = 0
     lines: List[str] = dc_field(default_factory=list)
 
@@ -73,10 +73,6 @@ class CheckOutcome:
         self.lines.append(("PASS " if ok else "FAIL ") + line)
 
 
-def _new_outcome(name: str) -> CheckOutcome:
-    return CheckOutcome(name=name, passed=True, max_residual=0.0, cases=0)
-
-
 # ---------------------------------------------------------------------------
 # targeted identity checks (the CLI's `lemma` command)
 # ---------------------------------------------------------------------------
@@ -84,7 +80,7 @@ def _new_outcome(name: str) -> CheckOutcome:
 
 def check_laplacian_inverse(seed: int = 0) -> CheckOutcome:
     """Inverse Laplacian symbols in normal coordinates, n in {4, 6}."""
-    out = _new_outcome("2.1")
+    out = CheckOutcome("2.1")
     rng = random.Random(seed)
     for n in (4, 6):
         for k in range(10):
@@ -103,7 +99,7 @@ def check_square_symbols(seed: int = 0) -> CheckOutcome:
 
     The composed square is the oracle's, sigma_1 at the base point where
     the closed form has it."""
-    out = _new_outcome("2.4")
+    out = CheckOutcome("2.4")
     rng = random.Random(seed)
     for k in range(10):
         m = 2 if k % 2 == 0 else 3
@@ -121,7 +117,7 @@ def check_square_symbols(seed: int = 0) -> CheckOutcome:
 
 def check_inverse_square_symbols(seed: int = 0) -> CheckOutcome:
     """Two-term inversion against its closed form plus the left-inverse law."""
-    out = _new_outcome("2.5")
+    out = CheckOutcome("2.5")
     rng = random.Random(seed)
     for k in range(10):
         m = 2 if k % 2 == 0 else 3
@@ -144,7 +140,7 @@ def check_inverse_square_symbols(seed: int = 0) -> CheckOutcome:
 
 def check_trace_identities(seed: int = 0) -> CheckOutcome:
     """2-, 4- and 6-fold spinor trace identities, exact and gamma-matrix."""
-    out = _new_outcome("3.3")
+    out = CheckOutcome("3.3")
     rng = random.Random(seed)
     for m in (2, 3):
         n = 2 * m
@@ -162,7 +158,7 @@ def check_trace_identities(seed: int = 0) -> CheckOutcome:
                     for vv in vectors[done:k]:
                         prod = prod * clifford_of_vector(vv)
                     done = k
-                    value = lemma33_trace_identity(vectors[:k], m, prod)
+                    value = lemma33_trace_identity(vectors[:k], prod)
                     mat = represent_element(prod, gammas)
                     worst = max(worst, abs(np.trace(mat) - complex(value)))
             except VerificationError:
@@ -178,7 +174,7 @@ def check_trace_identities(seed: int = 0) -> CheckOutcome:
 
 def check_contraction_identities(seed: int = 0) -> CheckOutcome:
     """All fifteen Jacobian contraction identities on random scenarios."""
-    out = _new_outcome("3.4")
+    out = CheckOutcome("3.4")
     rng = random.Random(seed)
     bad = 0
     for k in range(100):
@@ -196,7 +192,7 @@ def check_contraction_identities(seed: int = 0) -> CheckOutcome:
 def check_sphere_integrals() -> CheckOutcome:
     """Recursion against the Gamma closed form, plus the sum rule, up to
     total degree 8."""
-    out = _new_outcome("sphere")
+    out = CheckOutcome("sphere")
     import itertools
 
     worst = 0.0
@@ -226,7 +222,7 @@ def check_sphere_integrals() -> CheckOutcome:
 
 def check_gamma_oracle(seed: int = 0) -> CheckOutcome:
     """Anticommutation residuals and exact-vs-matrix agreement."""
-    out = _new_outcome("gamma")
+    out = CheckOutcome("gamma")
     for m in (1, 2, 3):
         res = anticommutation_residual(build_gamma_matrices(m))
         out.record(res <= 1e-14, f"m={m}: anticommutation residual {res:.2e}", res)
@@ -300,7 +296,7 @@ def scenario_invariant_suite(s: Scenario, rng: random.Random) -> CheckOutcome:
     ``_UW_AND_JACOBIAN_GROUPS``.  Every float value is judged by the
     report's rule, relative to the largest term compared.
     """
-    out = _new_outcome("invariants")
+    out = CheckOutcome("invariants")
     fld = s.field
 
     def compare(left, right, *term_sets) -> Comparison:
@@ -318,7 +314,7 @@ def scenario_invariant_suite(s: Scenario, rng: random.Random) -> CheckOutcome:
                 for names in (TERM_NAMES, *groups)]
 
     def retrace(scenario: Scenario):
-        return trace_terms(bd.symbols, torsion_prefactor_element(scenario), s.m)
+        return trace_terms(bd.symbols, torsion_prefactor_element(scenario))
 
     bd = assemble_density(s)
     inv = scenario_invariants(s)
@@ -366,14 +362,18 @@ def scenario_invariant_suite(s: Scenario, rng: random.Random) -> CheckOutcome:
     return out
 
 
+SWEEP_M = (2, 3, 4)
+
+
 def run_sweep(m: int, trials: int, seed: int, mode: str) -> CheckOutcome:
-    """Random-scenario sweep over the full invariant suite."""
-    if m not in (2, 3, 4):
-        raise ValueError(f"sweep supports m in {{2,3,4}}, got {m}")
+    """Random-scenario sweep over the full invariant suite, for m in
+    ``SWEEP_M``."""
+    if m not in SWEEP_M:
+        raise ValueError(f"sweep supports m in {SWEEP_M}, got {m}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = random.Random(seed)
-    out = _new_outcome(f"sweep m={m} mode={mode}")
+    out = CheckOutcome(f"sweep m={m} mode={mode}")
     for t in range(trials):
         s = random_scenario(m, mode, rng)
         sub = scenario_invariant_suite(s, rng)

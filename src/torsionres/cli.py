@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from .checks import LEMMA_CHECKS, run_sweep
+from .checks import LEMMA_CHECKS, SWEEP_M, run_sweep
 from .geometry import VerificationError
 from .report import build_report, report_to_text, summarize_report
 from .scenario_io import ScenarioError, load_scenario
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="random-scenario sweep over all pipeline invariants")
-    p_sweep.add_argument("--m", type=int, required=True, choices=(2, 3, 4))
+    p_sweep.add_argument("--m", type=int, required=True, choices=SWEEP_M)
     p_sweep.add_argument("--trials", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--mode", required=True, choices=("exact", "float"))

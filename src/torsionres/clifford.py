@@ -39,7 +39,8 @@ Coefficients with both parts nonzero become two rows, so their products
 cost the four multiplies of a complex product; the rest cost one.
 
 The fiberwise trace is the spinor-space trace: on a 2m-dimensional frame
-the identity traces to 2^m and every non-empty blade traces to zero.
+the identity traces to 2^m and every non-empty blade traces to zero.  The
+trace reads m from the frame dimension of its operands.
 """
 
 from __future__ import annotations
@@ -414,22 +415,18 @@ def clifford_product_seq(factors: Sequence[CliffordElement]) -> CliffordElement:
     return acc
 
 
-def clifford_trace(a: CliffordElement, m: int):
-    """Spinor trace: 2^m times the empty-blade coefficient.
-
-    Requires the frame dimension to equal 2m; non-scalar blades are
-    traceless in the 2^m-dimensional spinor representation.
-    """
-    if m < 1 or a.dim != 2 * m:
-        raise ValueError(f"trace needs dim == 2m; got dim={a.dim}, m={m}")
+def clifford_trace(a: CliffordElement):
+    """Spinor trace: 2^m times the empty-blade coefficient, with m half the
+    frame dimension of ``a``; non-scalar blades are traceless in the
+    2^m-dimensional spinor representation."""
     c = a.terms.get(0)
     if c is None:
         return 0
-    return (2**m) * c
+    return (2 ** (a.dim // 2)) * c
 
 
-def clifford_trace_of_product(a: CliffordElement, b: CliffordElement, m: int):
-    """``clifford_trace(a * b, m)`` without forming the product.
+def clifford_trace_of_product(a: CliffordElement, b: CliffordElement):
+    """``clifford_trace(a * b)`` without forming the product.
 
     Only pairs of equal blades reach the empty blade, through
     e_B e_B = blade_product_sign(B, B).  The pairs are summed in the order
@@ -447,9 +444,7 @@ def clifford_trace_of_product(a: CliffordElement, b: CliffordElement, m: int):
             s = -coeff if s is None else s - coeff
         else:
             s = coeff if s is None else s + coeff
-    if m < 1 or a.dim != 2 * m:
-        raise ValueError(f"trace needs dim == 2m; got dim={a.dim}, m={m}")
-    return (2**m) * s if s else 0
+    return (2 ** (a.dim // 2)) * s if s else 0
 
 
 def grade_project(a: CliffordElement, k: int) -> CliffordElement:

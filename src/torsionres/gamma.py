@@ -126,6 +126,6 @@ def verify_representation(m: int, trials: int, seed: int) -> float:
         worst_prod = max(
             worst_prod, float(np.abs(represent_element(ab, gammas) - ma @ mb).max())
         )
-        tr_exact = complex(clifford_trace(ab, m))
+        tr_exact = complex(clifford_trace(ab))
         worst_tr = max(worst_tr, abs(np.trace(ma @ mb) - tr_exact))
     return max(worst_prod, worst_tr)

@@ -574,7 +574,8 @@ def rescaled_dirac_inverse_closed_forms(s: Scenario, square: Symbol) -> Tuple[Sy
     n, fld = s.n, s.field
     w2 = norm_sq_jet(s.V)
     w4_inv = invert_scalar_jet(w2 * w2, fld)
-    w8_inv = (w4_inv * w4_inv).value_at_origin(n)
+    w4_inv_0 = w4_inv.value_at_origin(n)
+    w8_inv = w4_inv_0 * w4_inv_0
     q2 = Symbol(n, 1, fld, {((0,) * n, -1): w4_inv})
 
     q3 = Symbol.zero(n, 1, fld)

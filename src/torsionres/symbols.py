@@ -310,13 +310,6 @@ def symbol_product(a: Symbol, b: Symbol) -> Symbol:
 
 def _alpha_iter(nvars: int, order: int) -> Iterable[Tuple[Tuple[int, ...], int]]:
     """Multi-indices alpha with |alpha| = order, paired with alpha!."""
-    if order == 0:
-        yield (), 1
-        return
-    if order == 1:
-        for mu in range(1, nvars + 1):
-            yield (mu,), 1
-        return
     for mus in itertools.combinations_with_replacement(range(1, nvars + 1), order):
         fact = 1
         for _, grp in itertools.groupby(mus):
@@ -494,11 +487,10 @@ def symbol_invert_order2(p: Symbol) -> Tuple[Symbol, Symbol]:
     valid = max_degree - 1
     q2_low = q2.truncate_jets(valid)
     bracket = symbol_product(p1.truncate_jets(valid), q2_low)
+    p2_low = p2.truncate_jets(valid)
     corr = Symbol.zero(nvars, max_degree, field)
     for mu in range(1, nvars + 1):
-        corr = corr + symbol_product(
-            p2.partial_xi(mu).truncate_jets(valid), q2.partial_x(mu)
-        )
+        corr = corr + symbol_product(p2_low.partial_xi(mu), q2.partial_x(mu))
     bracket = bracket - corr.scale(field.i)
     q3 = symbol_product(q2_low, bracket).scale(field.of(-1)).truncate_jets(valid)
     return q2, q3

@@ -93,14 +93,16 @@ def torsion_prefactor_element(s: Scenario) -> CliffordElement:
     )
 
 
-def trace_integrate(sym: Symbol, prefactor: CliffordElement, m: int) -> DensityValue:
+def trace_integrate(sym: Symbol, prefactor: CliffordElement) -> DensityValue:
     """Trace pre * sym fiberwise and integrate over the unit cosphere.
 
-    Every term must be homogeneous of degree -2m and already evaluated at
-    the base point; the result is a rational multiple of 2^m Vol(S^{2m-1}),
-    in the scalars of ``sym``.
+    m is half the frame dimension n of ``sym``.  Every term must be
+    homogeneous of degree -2m and already evaluated at the base point; the
+    result is a rational multiple of 2^m Vol(S^{2m-1}), in the scalars of
+    ``sym``.
     """
-    n = 2 * m
+    n = sym.nvars
+    m = n // 2
     field = sym.field
     total = field.of(0)
     for (mono, k), jet in sym.terms.items():
@@ -114,7 +116,7 @@ def trace_integrate(sym: Symbol, prefactor: CliffordElement, m: int) -> DensityV
         moment = monomial_integral(mono, n)
         if moment == 0:
             continue
-        tr = clifford_trace_of_product(prefactor, coeff, m)
+        tr = clifford_trace_of_product(prefactor, coeff)
         if not bool(tr):
             continue
         total = total + tr * field.of(moment)
@@ -160,8 +162,8 @@ def pipeline_symbols(s: Scenario, dirac: Symbol) -> Dict[str, Symbol]:
     sigma1 = dirac.take_degree(1)
     dsigma1 = [sigma1.partial_x(mu) for mu in range(1, n + 1)]
     q2 = q2.evaluate_jets_at_origin()  # q3 comes at the base point already
-    p2 = dsq.take_degree(2)
-    dxi_p2 = [p2.partial_xi(mu).evaluate_jets_at_origin() for mu in range(1, n + 1)]
+    p2 = dsq.take_degree(2).evaluate_jets_at_origin()
+    dxi_p2 = [p2.partial_xi(mu) for mu in range(1, n + 1)]
 
     powers, cross = power_expansion(q2, dq2, m)
     power_top = powers[m]
@@ -238,39 +240,36 @@ def pipeline_symbols(s: Scenario, dirac: Symbol) -> Dict[str, Symbol]:
     return out
 
 
-def trace_terms(
-    symbols: Dict[str, Symbol], prefactor: CliffordElement, m: int
-) -> Dict[str, DensityValue]:
+def trace_terms(symbols: Dict[str, Symbol], prefactor: CliffordElement) -> Dict[str, DensityValue]:
     """``trace_integrate`` of each term symbol under one prefactor."""
-    return {name: trace_integrate(sym, prefactor, m) for name, sym in symbols.items()}
+    return {name: trace_integrate(sym, prefactor) for name, sym in symbols.items()}
 
 
 def term_densities(s: Scenario) -> Dict[str, DensityValue]:
     """Machine values of h1, l1..l5, k1, k2 for one scenario."""
     symbols = pipeline_symbols(s, rescaled_dirac_symbols(s))
-    return trace_terms(symbols, torsion_prefactor_element(s), s.m)
+    return trace_terms(symbols, torsion_prefactor_element(s))
 
 
-def composition_oracle_density(
-    dirac: Symbol, prefactor: CliffordElement, m: int
-) -> DensityValue:
+def composition_oracle_density(dirac: Symbol, prefactor: CliffordElement) -> DensityValue:
     """The fully generic route: compose the operator symbol ``dirac`` with
     itself, invert, power up by composition, compose once more, and trace
-    against ``prefactor``.
+    against ``prefactor``; m is half the frame dimension of ``dirac``.
 
     Only sigma_2 of the square keeps its jets, because the inverse
     differentiates q_{-2}; sigma_1 of the square is composed at the base
     point, where q_{-3} is kept.  Every later composition is taken at the
     base point.  ``dirac`` is only read.
     """
-    n = 2 * m
+    n = dirac.nvars
+    m = n // 2
     q2, q3 = symbol_invert_order2(symbol_square_to_invert(dirac))
     q = q2 + q3
     acc = q
     for factors in range(2, m + 1):
         acc = symbol_compose(acc, q, -2 * factors - 1, at_origin=True)
     total = symbol_compose(acc, dirac, -n, at_origin=True).take_degree(-n)
-    return trace_integrate(total, prefactor, m)
+    return trace_integrate(total, prefactor)
 
 
 def sum_terms(terms: Dict[str, DensityValue], names: Sequence[str] = TERM_NAMES) -> DensityValue:
@@ -299,26 +298,22 @@ def assemble_density(s: Scenario) -> TermBreakdown:
     dirac = rescaled_dirac_symbols(s)
     prefactor = torsion_prefactor_element(s)
     symbols = pipeline_symbols(s, dirac)
-    terms = trace_terms(symbols, prefactor, s.m)
-    oracle = composition_oracle_density(dirac, prefactor, s.m)
+    terms = trace_terms(symbols, prefactor)
+    oracle = composition_oracle_density(dirac, prefactor)
     return TermBreakdown(terms, sum_terms(terms), oracle, symbols)
 
 
-def plain_dirac_torsion_density(
-    u: FrameVector, v: FrameVector, w: FrameVector, m: int
-) -> DensityValue:
-    """Exact torsion density of the plain Dirac operator at the base point.
+def plain_dirac_torsion_density(u: FrameVector, v: FrameVector, w: FrameVector) -> DensityValue:
+    """Exact torsion density of the plain Dirac operator at the base point,
+    on the 2m-dimensional frame of ``u``.
 
     Runs the same generic composition route with prefactor c(u)c(v)c(w);
     in normal coordinates every contribution vanishes.
     """
-    for vec in (u, v, w):
-        if vec.dim != 2 * m:
-            raise ValueError("argument dimension mismatch")
     pre = clifford_product_seq(
         [clifford_of_vector(u), clifford_of_vector(v), clifford_of_vector(w)]
     )
-    return composition_oracle_density(plain_dirac_symbols(m), pre, m)
+    return composition_oracle_density(plain_dirac_symbols(u.dim // 2), pre)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +321,9 @@ def plain_dirac_torsion_density(
 # ---------------------------------------------------------------------------
 
 
-def trace_pairing_formula(vectors: Sequence[FrameVector], m: int):
+def trace_pairing_formula(vectors: Sequence[FrameVector]):
     """Closed form for tr[c(X_1)...c(X_k)] via signed perfect pairings, for
-    exact vectors.
+    one or more exact vectors on a 2m-dimensional frame.
 
     Recursion: pair X_1 with each X_j; the cost of walking X_1 up to X_j
     is (-1)^j, and each contraction contributes -g(X_1, X_j).  The pairings
@@ -358,20 +353,21 @@ def trace_pairing_formula(vectors: Sequence[FrameVector], m: int):
                 total = total + term
         return total
 
-    return rec(tuple(range(k))) * field.of(2**m)
+    return rec(tuple(range(k))) * field.of(2 ** (vectors[0].dim // 2))
 
 
-def lemma33_trace_identity(vectors: Sequence[FrameVector], m: int, product: CliffordElement):
+def lemma33_trace_identity(vectors: Sequence[FrameVector], product: CliffordElement):
     """Evaluate tr of the k-fold Clifford product ``product`` = c(v_1)...c(v_k),
     k = len(vectors), both symbolically and by the pairing formula on the
-    exact ``vectors``, assert exact equality, and return the value."""
+    exact ``vectors``, assert exact equality, and return the value.  Both
+    traces read m from the frame dimension, 2m, of their operands."""
     k = len(vectors)
     if k not in (2, 4, 6):
         raise ValueError(f"trace identity defined for k in {{2,4,6}}, got {k}")
-    symbolic = clifford_trace(product, m)
+    symbolic = clifford_trace(product)
     if not bool(symbolic):
         symbolic = EXACT.of(0)
-    formula = trace_pairing_formula(vectors, m)
+    formula = trace_pairing_formula(vectors)
     if symbolic != formula:
         raise VerificationError(
             f"trace identity failed for k={k}: {symbolic} vs {formula}"

@@ -89,7 +89,7 @@ def test_criterion_01_trace_identities():
                 prod = clifford_of_vector(vectors[0])
                 for v in vectors[1:k]:
                     prod = prod * clifford_of_vector(v)
-                value = lemma33_trace_identity(vectors[:k], m, prod)
+                value = lemma33_trace_identity(vectors[:k], prod)
                 worst = max(
                     worst,
                     abs(np.trace(represent_element(prod, gammas)) - complex(value)),
@@ -316,7 +316,7 @@ def test_criterion_09_cancellation_properties():
         u, v, w = (
             exact_vector(*[small_rational(rng) for _ in range(n)]) for _ in range(3)
         )
-        assert plain_dirac_torsion_density(u, v, w, m).value == EXACT.of(0)
+        assert plain_dirac_torsion_density(u, v, w).value == EXACT.of(0)
 
     for lam in (Fraction(2), Fraction(1, 3)):
         scaled = Scenario(

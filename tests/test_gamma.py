@@ -71,7 +71,7 @@ def test_matrix_trace_matches_pairing():
     mat_trace = np.trace(represent_element(prod, gammas))
     # tr[c(u)c(v)] = -g(u,v) 2^m
     assert abs(mat_trace - complex(-2 * 4)) <= 1e-12
-    assert abs(mat_trace - complex(clifford_trace(prod, 2))) <= 1e-12
+    assert abs(mat_trace - complex(clifford_trace(prod))) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -86,17 +86,17 @@ def test_integrate_symbol_term():
     coeff = CliffordElement.scalar(4, EXACT.of(3))
     unit = CliffordElement.scalar(4, EXACT.one)
     # odd monomial integrates to zero
-    out = trace_integrate(_single_term(coeff, (1, 1, 0, 0), -3), unit, 2)
+    out = trace_integrate(_single_term(coeff, (1, 1, 0, 0), -3), unit)
     assert out.value == EXACT.of(0)
     # pure norm power: A |xi|^{-4} -> A * Vol
-    out = trace_integrate(_single_term(coeff, (0, 0, 0, 0), -2), unit, 2)
+    out = trace_integrate(_single_term(coeff, (0, 0, 0, 0), -2), unit)
     assert out.value == EXACT.of(3)
     # A xi_1^2 |xi|^{-6} -> A / 4 * Vol
-    out = trace_integrate(_single_term(coeff, (2, 0, 0, 0), -3), unit, 2)
+    out = trace_integrate(_single_term(coeff, (2, 0, 0, 0), -3), unit)
     assert out.value == EXACT.of(Fraction(3, 4))
 
 
 def test_integrate_rejects_wrong_homogeneity():
     unit = CliffordElement.scalar(4, EXACT.one)
     with pytest.raises(ValueError):
-        trace_integrate(_single_term(unit, (2, 0, 0, 0), -2), unit, 2)
+        trace_integrate(_single_term(unit, (2, 0, 0, 0), -2), unit)

@@ -233,7 +233,7 @@ def test_term_symbols_do_not_depend_on_u_v_w(m, mode, seed):
         replace(s, u=s.w, w=s.u),
         replace(s, u=fresh.u, v=fresh.v, w=fresh.w),
     ):
-        retraced = trace_terms(symbols, torsion_prefactor_element(derived), m)
+        retraced = trace_terms(symbols, torsion_prefactor_element(derived))
         direct = term_densities(derived)
         for name in TERM_NAMES:
             assert retraced[name] == direct[name], name
@@ -328,6 +328,15 @@ FIXED_PARAMETERS = (
     (torsion.plain_dirac_torsion_density, "mode"),
     (torsion.trace_integrate, "field"),
     (symbols.symbol_invert_order2, "dim"),
+    # m is half the frame dimension of the operand
+    (clifford.clifford_trace, "m"),
+    (clifford.clifford_trace_of_product, "m"),
+    (torsion.trace_integrate, "m"),
+    (torsion.trace_terms, "m"),
+    (torsion.composition_oracle_density, "m"),
+    (torsion.plain_dirac_torsion_density, "m"),
+    (torsion.lemma33_trace_identity, "m"),
+    (torsion.trace_pairing_formula, "m"),
     (jets.invert_scalar_jet, "dim"),
     (geometry.rescaled_dirac_inverse_closed_forms, "pieces"),
     (geometry.rescaled_dirac_inverse_symbols, "pieces"),
@@ -445,9 +454,9 @@ def test_plain_dirac_torsion_vanishes(m):
             exact_vector(*[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)])
             for _ in range(3)
         )
-        assert plain_dirac_torsion_density(u, v, w, m).value == EXACT.of(0)
+        assert plain_dirac_torsion_density(u, v, w).value == EXACT.of(0)
     zero = exact_vector(*([0] * n))
-    assert plain_dirac_torsion_density(zero, zero, zero, m).value == EXACT.of(0)
+    assert plain_dirac_torsion_density(zero, zero, zero).value == EXACT.of(0)
 
 
 # -- contraction identities -----------------------------------------------------
@@ -588,12 +597,12 @@ def test_trace_pairing_formula_pairs_each_two_vectors_once(monkeypatch):
     rng = random.Random(79)
     vectors = [exact_vector(*[rng.randint(1, 3) for _ in range(6)]) for _ in range(6)]
     calls = _counting_dots(monkeypatch)
-    value = torsion.trace_pairing_formula(vectors, 3)
+    value = torsion.trace_pairing_formula(vectors)
     assert len(calls) <= 15
     product = clifford_of_vector(vectors[0])
     for x in vectors[1:]:
         product = product * clifford_of_vector(x)
-    assert value == clifford_trace(product, 3)
+    assert value == clifford_trace(product)
 
 
 def test_trace_identity_check_builds_one_chain_per_tuple(monkeypatch):
