@@ -59,16 +59,18 @@ from .torsion import (
 @dataclass
 class CheckOutcome:
     name: str
-    passed: bool = True
     max_residual: float = 0.0
     cases: int = 0
     failures: int = 0
     lines: List[str] = dc_field(default_factory=list)
 
+    @property
+    def passed(self) -> bool:
+        return self.failures == 0
+
     def record(self, ok: bool, line: str, residual: float = 0.0):
         if not ok:
             self.failures += 1
-            self.passed = False
         self.max_residual = max(self.max_residual, residual)
         self.lines.append(("PASS " if ok else "FAIL ") + line)
 
@@ -381,7 +383,6 @@ def run_sweep(m: int, trials: int, seed: int, mode: str) -> CheckOutcome:
         out.max_residual = max(out.max_residual, sub.max_residual)
         if not sub.passed:
             out.failures += 1
-            out.passed = False
             out.lines.extend(f"  trial {t + 1}: {line}" for line in sub.lines
                              if line.startswith("FAIL"))
     out.lines.append(

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from .clifford import CliffordElement, FrameVector, clifford_of_vector
 from .jets import Jet, invert_scalar_jet
 from .scalars import EXACT, _reduced, field_for_mode
-from .symbols import Symbol, symbol_invert_order2, symbol_residual, symbols_equal
+from .symbols import Symbol, symbol_invert_order2, symbol_residual, symbols_equal, xi_linear_symbol
 
 
 class VerificationError(AssertionError):
@@ -231,53 +231,45 @@ def build_metric_jets(curv: CurvatureData) -> NormalMetricJets:
     return NormalMetricJets(n, g_lower, g_upper, sqrt_det)
 
 
+def _quadratic_form_symbol(metric: List[List[Jet]], k: int) -> Symbol:
+    """|xi|^{2(k+1)} + sum_ab (M_ab - delta_ab) xi_a xi_b |xi|^{2k} for the
+    metric jets M: the flat part is split off so the inverter sees it."""
+    n = len(metric)
+    one_jet = Jet.constant(n, 2, CliffordElement.scalar(n, EXACT.one))
+    terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {((0,) * n, k + 1): one_jet}
+    for a in range(n):
+        for b in range(n):
+            corr = metric[a][b] - (one_jet if a == b else Jet(n, 2, {}))
+            if corr.is_zero():
+                continue
+            key = (tuple((i == a) + (i == b) for i in range(n)), k)
+            terms[key] = terms.get(key, Jet(n, 2, {})) + corr
+    return Symbol(n, 2, EXACT, terms)
+
+
 def laplacian_symbol(jets: NormalMetricJets) -> Symbol:
     """sigma_2 = g^ab xi_a xi_b, sigma_1 = (-i/sqrt g) d_a(sqrt g g^ab) xi_b, sigma_0 = 0."""
     n, fld = jets.n, EXACT
-    terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
-    zero_mono = (0,) * n
-
-    # degree 2: split off the flat |xi|^2 part so the inverter sees it
-    one_jet = Jet.constant(n, 2, CliffordElement.scalar(n, fld.one))
-    terms[(zero_mono, 1)] = one_jet
-    for a in range(n):
-        for b in range(n):
-            corr = jets.g_upper[a][b] - (one_jet if a == b else Jet(n, 2, {}))
-            if corr.is_zero():
-                continue
-            mono = tuple(
-                (1 if i == a else 0) + (1 if i == b else 0) for i in range(n)
-            )
-            key = (mono, 0)
-            terms[key] = terms.get(key, Jet(n, 2, {})) + corr
-
     inv_sqrt = invert_scalar_jet(jets.sqrt_det, fld)
     minus_i = fld.of(0) - fld.i
+    sigma1 = []
     for b in range(n):
         acc = Jet(n, 2, {})
         for a in range(n):
             acc = acc + (jets.sqrt_det * jets.g_upper[a][b]).partial_x(a + 1)
-        jet = (inv_sqrt * acc).scale(minus_i)
-        if jet.is_zero():
-            continue
-        mono = tuple(1 if i == b else 0 for i in range(n))
-        key = (mono, 0)
-        terms[key] = terms.get(key, Jet(n, 2, {})) + jet
-    return Symbol(n, 2, fld, terms)
+        sigma1.append((inv_sqrt * acc).scale(minus_i))
+    return _quadratic_form_symbol(jets.g_upper, 0) + xi_linear_symbol(fld, sigma1)
 
 
 def laplacian_sigma1_closed_form(curv: CurvatureData) -> Symbol:
     """(2i/3) Ric_ab x^a xi_b, the normal-coordinate first-order symbol."""
-    n = curv.n
-    fld = EXACT
-    terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
+    n, fld = curv.n, EXACT
     two_thirds_i = fld.i * fld.of(Fraction(2, 3))
+    coeffs = [{} for _ in range(n)]
     for (a, b), v in curv.ricci().items():
-        jet = Jet.coordinate(n, 2, a, CliffordElement.scalar(n, two_thirds_i * fld.of(v)))
-        mono = tuple(1 if i == b - 1 else 0 for i in range(n))
-        key = (mono, 0)
-        terms[key] = terms.get(key, Jet(n, 2, {})) + jet
-    return Symbol(n, 2, fld, terms)
+        x_a = tuple(int(i == a - 1) for i in range(n))
+        coeffs[b - 1][x_a] = CliffordElement.scalar(n, two_thirds_i * fld.of(v))
+    return xi_linear_symbol(fld, [Jet(n, 2, c) for c in coeffs])
 
 
 def laplacian_inverse_closed_forms(
@@ -292,19 +284,7 @@ def laplacian_inverse_closed_forms(
     ``sigma1_closed`` from ``laplacian_sigma1_closed_form``.
     """
     n, fld = jets.n, EXACT
-    terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
-    zero_mono = (0,) * n
-    one_jet = Jet.constant(n, 2, CliffordElement.scalar(n, fld.one))
-    terms[(zero_mono, -1)] = one_jet
-    for a in range(n):
-        for b in range(n):
-            corr = jets.g_lower[a][b] - (one_jet if a == b else Jet(n, 2, {}))
-            if corr.is_zero():
-                continue
-            mono = tuple((1 if i == a else 0) + (1 if i == b else 0) for i in range(n))
-            key = (mono, -2)
-            terms[key] = terms.get(key, Jet(n, 2, {})) + corr
-    q2_closed = Symbol(n, 2, fld, terms)
+    q2_closed = _quadratic_form_symbol(jets.g_lower, -2)
     q3_closed = Symbol(
         n, 2, fld,
         {
@@ -439,32 +419,17 @@ def clifford_field_jet(V: VectorFieldJet) -> Jet:
     n = V.dim
     terms = {(0,) * n: clifford_of_vector(V.value)}
     for j in range(n):
-        row = clifford_of_vector(V.row(j))
-        if row.is_zero():
-            continue
-        mono = tuple(1 if i == j else 0 for i in range(n))
-        terms[mono] = row
+        terms[tuple(int(i == j) for i in range(n))] = clifford_of_vector(V.row(j))
     return Jet(n, 1, terms)
 
 
 def norm_sq_jet(V: VectorFieldJet) -> Jet:
     """|V(x)|^2 to first order: |V_0|^2 + sum_j x_j d_j|V|^2."""
     n = V.dim
-    d = V.d_norm_sq()
     terms = {(0,) * n: CliffordElement.scalar(n, V.norm_sq())}
-    for j in range(n):
-        c = d.components[j]
-        if bool(c):
-            mono = tuple(1 if i == j else 0 for i in range(n))
-            terms[mono] = CliffordElement.scalar(n, c)
+    for j, c in enumerate(V.d_norm_sq().components):
+        terms[tuple(int(i == j) for i in range(n))] = CliffordElement.scalar(n, c)
     return Jet(n, 1, terms)
-
-
-def _base_point_symbol(
-    n: int, fld, elements: Dict[Tuple[Tuple[int, ...], int], CliffordElement]
-) -> Symbol:
-    """A symbol whose coefficients are constant jets."""
-    return Symbol(n, 1, fld, {key: Jet.constant(n, 1, c) for key, c in elements.items()})
 
 
 def rescaled_dirac_symbols(s: Scenario) -> Symbol:
@@ -480,14 +445,10 @@ def rescaled_dirac_symbols(s: Scenario) -> Symbol:
     """
     n, fld = s.n, s.field
     cV = clifford_field_jet(s.V)
-    terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
-    for j in range(n):
-        ej = CliffordElement.basis(n, j + 1, fld.one)
-        jet = (cV * Jet.constant(n, 1, ej) * cV).scale(fld.i)
-        if jet.is_zero():
-            continue
-        mono = tuple(1 if i == j else 0 for i in range(n))
-        terms[(mono, 0)] = jet
+    basis = [CliffordElement.basis(n, j + 1, fld.one) for j in range(n)]
+    sigma1 = xi_linear_symbol(
+        fld, [(cV * Jet.constant(n, 1, ej) * cV).scale(fld.i) for ej in basis]
+    )
 
     cV0 = clifford_of_vector(s.V.value)
     sigma0 = CliffordElement.zero(n)
@@ -495,12 +456,10 @@ def rescaled_dirac_symbols(s: Scenario) -> Symbol:
         dj = clifford_of_vector(s.V.row(j))
         if dj.is_zero():
             continue
-        sigma0 = sigma0 + cV0 * CliffordElement.basis(n, j + 1, fld.one) * dj
+        sigma0 = sigma0 + cV0 * basis[j] * dj
     if not s.X.is_zero():
         sigma0 = sigma0 + (cV0 * clifford_of_vector(s.X) * cV0).scale(fld.i)
-    if not sigma0.is_zero():
-        terms[((0,) * n, 0)] = Jet.constant(n, 1, sigma0)
-    return Symbol(n, 1, fld, terms)
+    return sigma1 + Symbol(n, 1, fld, {((0,) * n, 0): Jet.constant(n, 1, sigma0)})
 
 
 def rescaled_dirac_square_sigma1_pieces(s: Scenario) -> Dict[str, Symbol]:
@@ -518,34 +477,28 @@ def rescaled_dirac_square_sigma1_pieces(s: Scenario) -> Dict[str, Symbol]:
     cV = clifford_of_vector(s.V.value)
     w2cV = CliffordElement.scalar(n, s.V.norm_sq()) * cV
     basis = [CliffordElement.basis(n, j + 1, fld.one) for j in range(n)]
-    monos = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    pieces: Dict[str, Symbol] = {}
 
     two_i = fld.i * fld.of(2)
-    grad_terms: Dict[Tuple[Tuple[int, ...], int], CliffordElement] = {}
-    for j in range(n):
-        dj = clifford_of_vector(s.V.row(j))
-        if not dj.is_zero():
-            grad_terms[(monos[j], 0)] = (w2cV * dj).scale(two_i)
-    pieces["vector_gradient"] = _base_point_symbol(n, fld, grad_terms)
+    rows = [clifford_of_vector(s.V.row(j)) for j in range(n)]
+    grad = [None if dj.is_zero() else (w2cV * dj).scale(two_i) for dj in rows]
 
-    x_terms: Dict[Tuple[Tuple[int, ...], int], CliffordElement] = {}
+    x_field = [None] * n
     if not s.X.is_zero():
         cX = clifford_of_vector(s.X)
         w2cVcX = w2cV * cX
-        for j in range(n):
-            x_terms[(monos[j], 0)] = w2cV * basis[j] * cX * cV + w2cVcX * basis[j] * cV
-    pieces["x_field"] = _base_point_symbol(n, fld, x_terms)
+        x_field = [w2cV * ej * cX * cV + w2cVcX * ej * cV for ej in basis]
 
-    d_terms: Dict[Tuple[Tuple[int, ...], int], CliffordElement] = {}
+    norm_grad = [None] * n
     c_d = clifford_of_vector(s.V.d_norm_sq())
     if not c_d.is_zero():
         minus_i = fld.of(0) - fld.i
         cVc_d = cV * c_d
-        for j in range(n):
-            d_terms[(monos[j], 0)] = (cVc_d * basis[j] * cV).scale(minus_i)
-    pieces["norm_gradient"] = _base_point_symbol(n, fld, d_terms)
-    return pieces
+        norm_grad = [(cVc_d * ej * cV).scale(minus_i) for ej in basis]
+    return {
+        "vector_gradient": xi_linear_symbol(fld, grad),
+        "x_field": xi_linear_symbol(fld, x_field),
+        "norm_gradient": xi_linear_symbol(fld, norm_grad),
+    }
 
 
 def rescaled_dirac_square_symbols(s: Scenario, pieces: Dict[str, Symbol]) -> Symbol:
@@ -578,20 +531,16 @@ def rescaled_dirac_inverse_closed_forms(s: Scenario, square: Symbol) -> Tuple[Sy
     w8_inv = w4_inv_0 * w4_inv_0
     q2 = Symbol(n, 1, fld, {((0,) * n, -1): w4_inv})
 
-    q3 = Symbol.zero(n, 1, fld)
     minus_one = fld.of(-1)
-    for (mono, k), jet in square.take_degree(1).terms.items():
-        q3 = q3 + _base_point_symbol(
-            n, fld, {(mono, k - 2): (w8_inv * jet.value_at_origin(n)).scale(minus_one)}
-        )
+    from_square = Symbol(n, 1, fld, {
+        (mono, k - 2): Jet.constant(n, 1, (w8_inv * jet.value_at_origin(n)).scale(minus_one))
+        for (mono, k), jet in square.take_degree(1).terms.items()
+    })
     two_i = fld.i * fld.of(2)
-    for mu in range(n):
-        dj = w4_inv.partial_x(mu + 1)
-        if dj.is_zero():
-            continue
-        mono = tuple(1 if i == mu else 0 for i in range(n))
-        q3 = q3 + Symbol(n, 1, fld, {(mono, -2): dj.scale(two_i)})
-    return q2, q3
+    gradient = xi_linear_symbol(
+        fld, [w4_inv.partial_x(mu + 1).scale(two_i) for mu in range(n)], -2
+    )
+    return q2, from_square + gradient
 
 
 def rescaled_dirac_inverse_symbols(s: Scenario, square: Symbol) -> Tuple[Symbol, Symbol]:
@@ -610,14 +559,10 @@ def rescaled_dirac_inverse_symbols(s: Scenario, square: Symbol) -> Tuple[Symbol,
 def plain_dirac_symbols(m: int) -> Symbol:
     """Exact symbols of the plain Dirac operator at the base point: i c(xi)
     and 0."""
-    n = 2 * m
-    fld = EXACT
-    terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
-    for j in range(n):
-        ej = CliffordElement.basis(n, j + 1, fld.one)
-        mono = tuple(1 if i == j else 0 for i in range(n))
-        terms[(mono, 0)] = Jet.constant(n, 1, ej.scale(fld.i))
-    return Symbol(n, 1, fld, terms)
+    n, fld = 2 * m, EXACT
+    return xi_linear_symbol(
+        fld, [CliffordElement.basis(n, j + 1, fld.one).scale(fld.i) for j in range(n)]
+    )
 
 
 # ---------------------------------------------------------------------------

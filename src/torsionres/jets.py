@@ -130,12 +130,6 @@ class Jet:
     def constant(nvars: int, max_degree: int, coeff: CliffordElement) -> "Jet":
         return Jet(nvars, max_degree, {_zero_mono(nvars): coeff})
 
-    @staticmethod
-    def coordinate(nvars: int, max_degree: int, index: int, one_element: CliffordElement) -> "Jet":
-        """The jet x_index (1-based) with the given unit coefficient."""
-        mono = tuple(1 if k == index - 1 else 0 for k in range(nvars))
-        return Jet(nvars, max_degree, {mono: one_element})
-
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other: "Jet"):

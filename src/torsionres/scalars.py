@@ -8,10 +8,10 @@ Every coefficient in the engine lives in one of two scalar fields:
   acceptance checks run here, so "equal" means equal: the field's
   ``tolerance`` is 0.
 * ``float`` -- plain Python ``complex``, for scenarios given as
-  floating-point numbers and for comparison with the float dense-matrix
-  oracle.  It is not faster than ``exact``.  Two float values count as
-  equal within the field's ``tolerance``, relative to the scale of the
-  values each comparison judges.  Neither tolerance is an option.
+  floating-point numbers.  It is not faster than ``exact``.  Two float
+  values count as equal within the field's ``tolerance``, relative to the
+  scale of the values each comparison judges.  Neither tolerance is an
+  option.
 
 The two kinds never mix silently.  A ``GaussianRational`` refuses
 arithmetic with ``float``/``complex`` operands, so a mode error surfaces at

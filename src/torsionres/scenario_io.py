@@ -24,7 +24,8 @@ a JSON integer, or a string of an optional sign, digits and an optional
 optional ``perturb`` block is the negative-control hook: it shifts one
 term's reference closed form, by a rational literal ``delta``, before the
 gating comparison.  The optional ``seed`` is an integer or null, echoed
-into the report.
+into the report.  Any other field, at the top level, in ``V`` or in
+``perturb``, is refused.
 
 Validation errors carry the path of the offending field and are raised
 as ``ScenarioError`` (the CLI maps them to exit code 2).
@@ -109,6 +110,16 @@ def _parse_vector(obj, n: int, mode: str, path: str) -> FrameVector:
     return FrameVector(n, tuple(_parse_scalar(c, mode, f"{path}[{i}]") for i, c in enumerate(obj)))
 
 
+def _refuse_unknown(obj: Dict, fields: Tuple[str, ...], path: str) -> None:
+    """Refuse the first key of ``obj`` that is not one of ``fields``, so a
+    misspelled field fails the run instead of being ignored."""
+    for key in obj:
+        if key not in fields:
+            raise ScenarioError(
+                f"{path}: unknown field {key!r} (expected one of {', '.join(fields)})"
+            )
+
+
 def parse_scenario(doc: Dict) -> Tuple[Scenario, Optional[Tuple[str, Fraction]]]:
     """Validate a parsed JSON document into a Scenario plus the optional
     negative-control perturbation."""
@@ -129,10 +140,13 @@ def parse_scenario(doc: Dict) -> Tuple[Scenario, Optional[Tuple[str, Fraction]]]
             "curvature: not accepted; the rescaled-Dirac model works in flat "
             "normal coordinates and does not use curvature"
         )
+    fields = ("schema", "m", "mode", "V", "X", "u", "v", "w", "perturb", "seed")
+    _refuse_unknown(doc, fields, "scenario")
 
     v_obj = doc.get("V")
     if not isinstance(v_obj, dict) or "value" not in v_obj or "jacobian" not in v_obj:
         raise ScenarioError("V: expected an object with \"value\" and \"jacobian\"")
+    _refuse_unknown(v_obj, ("value", "jacobian"), "V")
     value = _parse_vector(v_obj["value"], n, mode, "V.value")
     jac_obj = v_obj["jacobian"]
     if not isinstance(jac_obj, list) or len(jac_obj) != n:
@@ -163,6 +177,7 @@ def parse_scenario(doc: Dict) -> Tuple[Scenario, Optional[Tuple[str, Fraction]]]
         p = doc["perturb"]
         if not isinstance(p, dict) or "term" not in p or "delta" not in p:
             raise ScenarioError("perturb: expected {term, delta}")
+        _refuse_unknown(p, ("term", "delta"), "perturb")
         if p["term"] not in TERM_NAMES:
             raise ScenarioError(
                 f"perturb.term: unknown term {p['term']!r} "

@@ -5,8 +5,10 @@ A symbol is a finite sum of terms
     (jet coefficient) * xi^A * |xi|^{2k},        k an integer,
 
 graded by the homogeneity degree |A| + 2k in xi.  Odd powers of |xi| never
-arise and are rejected at construction.  The module provides the xi- and
-x-derivatives, the full composition formula
+arise and are rejected at construction.  The operator symbols share the
+shape sum_j C_j xi_j |xi|^{2k}, which ``xi_linear_symbol`` builds from the
+list of the C_j.  The module provides the xi- and x-derivatives, the full
+composition formula
 
     sigma(P Q) = sum_alpha (-i)^{|alpha|} / alpha! *
                  d_xi^alpha sigma(P) * d_x^alpha sigma(Q),
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .clifford import CliffordElement, operand_rows, reduce
 from .jets import Jet, _mono_mul, accumulate_admitted, coefficient_dim, invert_scalar_jet
@@ -376,6 +378,24 @@ def symbol_compose(
         dp = [(key, *_row_times(q, row, c, order)) for key, q, row in dp]
         accumulate_admitted(acc, dp, dq, _symbol_label, admits, _symbol_pair_key)
     return _symbol_of_elements(p, reduce(_first_dim(p, q), acc, d * scale))
+
+
+def xi_linear_symbol(field, coeffs: Sequence, norm_power: int = 0) -> Symbol:
+    """sum_j coeffs[j] xi_j |xi|^{2 norm_power}, terms in order of j.
+
+    Each coefficient is a ``Jet``, a ``CliffordElement`` (taken as a
+    constant jet) or ``None`` (no term).  The frame has ``len(coeffs)``
+    variables; the jet cap is that of the jet coefficients, 1 if there are
+    none.
+    """
+    n = len(coeffs)
+    cap = next((c.max_degree for c in coeffs if isinstance(c, Jet)), 1)
+    terms: Dict[TermKey, Jet] = {}
+    for j, c in enumerate(coeffs):
+        if c is not None:
+            unit = (0,) * j + (1,) + (0,) * (n - j - 1)
+            terms[(unit, norm_power)] = c if isinstance(c, Jet) else Jet.constant(n, cap, c)
+    return Symbol(n, cap, field, terms)
 
 
 def norm_squared_symbol(nvars: int, max_degree: int, field, dim: int, power: int = 1) -> Symbol:

@@ -69,7 +69,6 @@ from .geometry import (
     rescaled_dirac_symbols,
     rescaled_dirac_inverse_symbols,
 )
-from .jets import Jet
 from .reference import DensityValue
 from .scalars import EXACT
 from .spheres import monomial_integral
@@ -80,6 +79,7 @@ from .symbols import (
     symbol_invert_order2,
     symbol_product,
     symbol_square_to_invert,
+    xi_linear_symbol,
 )
 
 TERM_NAMES = ("h1", "l1", "l2", "l3", "l4", "l5", "k1", "k2")
@@ -198,30 +198,20 @@ def pipeline_symbols(s: Scenario, dirac: Symbol) -> Dict[str, Symbol]:
     # and c(V0)c(e_j) are formed once per j (a product with a single blade
     # is exact, so the association does not change a float sum)
     cV0 = clifford_of_vector(s.V.value)
-    monos, ej_v, v_ej = [], [], []
-    for j in range(n):
-        ej = CliffordElement.basis(n, j + 1, fld.one)
-        monos.append(tuple(1 if i == j else 0 for i in range(n)))
-        ej_v.append(clifford_product(ej, cV0))
-        v_ej.append(clifford_product(cV0, ej))
+    basis = [CliffordElement.basis(n, j + 1, fld.one) for j in range(n)]
+    ej_v = [clifford_product(ej, cV0) for ej in basis]
+    v_ej = [clifford_product(cV0, ej) for ej in basis]
     k1_sym = Symbol.zero(n, 1, fld)
     k2_sym = Symbol.zero(n, 1, fld)
     check = Symbol.zero(n, 1, fld)
     for mu in range(n):
         row = clifford_of_vector(s.V.row(mu))
-        lt: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
-        rt: Dict[Tuple[Tuple[int, ...], int], Jet] = {}
-        if not row.is_zero():
-            for j in range(n):
-                lt[(monos[j], 0)] = Jet.constant(
-                    n, 1, clifford_product(row, ej_v[j]).scale(fld.i)
-                )
-                rt[(monos[j], 0)] = Jet.constant(
-                    n, 1, clifford_product(v_ej[j], row).scale(fld.i)
-                )
         dxi_top = power_top.partial_xi(mu + 1)
-        k1_sym = k1_sym + symbol_product(dxi_top, Symbol(n, 1, fld, lt))
-        k2_sym = k2_sym + symbol_product(dxi_top, Symbol(n, 1, fld, rt))
+        if not row.is_zero():
+            k1 = xi_linear_symbol(fld, [clifford_product(row, x).scale(fld.i) for x in ej_v])
+            k2 = xi_linear_symbol(fld, [clifford_product(x, row).scale(fld.i) for x in v_ej])
+            k1_sym = k1_sym + symbol_product(dxi_top, k1)
+            k2_sym = k2_sym + symbol_product(dxi_top, k2)
         check = check + symbol_product(dxi_top, dsigma1[mu])
     k1_sym = k1_sym.scale(minus_i)
     k2_sym = k2_sym.scale(minus_i)

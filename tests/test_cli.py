@@ -295,6 +295,30 @@ def test_float_mode_report(tmp_path):
 # -- front door: input errors exit 2 before any computation ----------------------
 
 
+@pytest.mark.parametrize("where, key, message", [
+    (None, "perturbation", "scenario: unknown field 'perturbation'"),
+    ("V", "jacobain", "V: unknown field 'jacobain'"),
+    ("perturb", "size", "perturb: unknown field 'size'"),
+], ids=["top-level", "V", "perturb"])
+def test_unknown_scenario_field_is_named(where, key, message):
+    doc = json.loads(json.dumps(DERIVED))
+    doc["perturb"] = {"term": "l4", "delta": "1/7"}
+    (doc if where is None else doc[where])[key] = 2
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("name", TERM_NAMES)
+def test_negative_control_fails_exactly_its_term(name):
+    """The README scenario with any one term's reference shifted by 1/7
+    fails exactly that term's gating row."""
+    scenario, _ = load_scenario(str(Path(__file__).parent / "data" / "readme_scenario.json"))
+    rep = build_report(scenario, perturb=(name, Fraction(1, 7)))
+    failing = [d["name"] for d in rep["diffs"] if d["gating"] and not d["pass"]]
+    assert failing == [f"term:{name}:reference"]
+    assert rep["pass"] is False
+
+
 def test_cli_unknown_perturb_term(tmp_path, capsys):
     doc = json.loads(json.dumps(DERIVED))
     doc["perturb"] = {"term": "zz", "delta": "1/7"}
@@ -345,11 +369,19 @@ def test_cli_bad_rational_fields(tmp_path, capsys, field, entry):
     pytest.param('"schema": 1', '"schema": 1, "perturb": {"term": "l4", "delta": true}',
                  id="bool-delta"),
     pytest.param('"schema": 1', '"schema": true', id="bool-schema"),
+    # a misspelled negative control must fail the run, not be ignored
+    pytest.param('"schema": 1',
+                 '"schema": 1, "perturbation": {"term": "l4", "delta": "1/7"}',
+                 id="unknown-field"),
+    pytest.param('"V": {', '"V": {"jacobain": [], ', id="unknown-V-field"),
+    pytest.param('"schema": 1',
+                 '"schema": 1, "perturb": {"term": "l4", "delta": "1/7", "size": 2}',
+                 id="unknown-perturb-field"),
 ])
 def test_cli_malformed_scenario_is_one_error_line(tmp_path, capsys, old, new):
     """A malformed scenario file ends in one ``error:`` line and exit 2,
-    never in a traceback: an integer too long to convert, and rational
-    literals other than an integer or ``"p/q"``."""
+    never in a traceback: an integer too long to convert, rational
+    literals other than an integer or ``"p/q"``, and unknown fields."""
     text = json.dumps(DERIVED)
     assert old in text
     path = tmp_path / "scenario.json"

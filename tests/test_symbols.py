@@ -22,6 +22,7 @@ from torsionres.symbols import (
     symbol_is_zero,
     symbol_product,
     symbols_equal,
+    xi_linear_symbol,
 )
 
 from conftest import small_rational, square_symbols
@@ -72,6 +73,31 @@ def test_norm_representation_equivalence():
     }
     s = sym(terms) - norm_squared_symbol(N, 1, EXACT, N, 0)
     assert symbol_is_zero(s)
+
+
+def test_xi_linear_symbol():
+    """sigma_1(D) = i c(xi) is sum_j (i c(e_j)) xi_j, whose square is
+    |xi|^2; a None coefficient gives no term; the jet cap is read from the
+    jet coefficients (1 if there are none), and an element beside them
+    becomes a constant jet under that cap."""
+    i_e = [CliffordElement.basis(N, j + 1, EXACT.one).scale(EXACT.i) for j in range(N)]
+    units = [tuple(int(i == j) for i in range(N)) for j in range(N)]
+    dirac = xi_linear_symbol(EXACT, i_e)
+    assert (dirac.nvars, dirac.max_degree) == (N, 1)
+    assert dirac.terms == {(units[j], 0): Jet.constant(N, 1, i_e[j]) for j in range(N)}
+    assert symbols_equal(symbol_product(dirac, dirac), norm_squared_symbol(N, 1, EXACT, N, 1))
+
+    assert xi_linear_symbol(EXACT, [None, i_e[1], None, None]).terms == {
+        (units[1], 0): Jet.constant(N, 1, i_e[1])
+    }
+
+    x1 = Jet(N, 2, {units[0]: CliffordElement.scalar(N, EXACT.one)})
+    mixed = xi_linear_symbol(EXACT, [None, i_e[1], x1, None], -2)
+    assert mixed.max_degree == 2
+    assert mixed.terms == {
+        (units[1], -2): Jet.constant(N, 2, i_e[1]),
+        (units[2], -2): x1,
+    }
 
 
 def test_flat_compose_is_identity():

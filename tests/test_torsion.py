@@ -365,6 +365,9 @@ UNREAD_MEMBERS = (
     (scalars._FloatField, "complex_of"),
     (gamma, "OracleReport"),
     (jets.Jet, "with_max_degree"),
+    # xi-linear symbols are built by symbols.xi_linear_symbol
+    (geometry, "_base_point_symbol"),
+    (jets.Jet, "coordinate"),
 )
 
 
