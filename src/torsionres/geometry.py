@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .clifford import CliffordElement, FrameVector, clifford_of_vector
-from .jets import Jet, invert_scalar_jet
+from .jets import Jet, invert_scalar_jet, sum_of_products
 from .scalars import EXACT, _reduced, field_for_mode
 from .symbols import Symbol, symbol_invert_order2, symbol_residual, symbols_equal, xi_linear_symbol
 
@@ -87,9 +87,14 @@ class CurvatureData:
     def value(self, a: int, c: int, b: int, d: int) -> Fraction:
         return self.components.get((a, c, b, d), Fraction(0))
 
-    def _validate(self):
+    def numerators(self) -> Tuple[int, Dict[Tuple[int, int, int, int], int]]:
+        """``(den, num)``: the components as integer numerators ``num`` over
+        their least common denominator ``den``."""
         den = math.lcm(*(v.denominator for v in self.components.values()))
-        num = {k: v.numerator * (den // v.denominator) for k, v in self.components.items()}
+        return den, {k: v.numerator * (den // v.denominator) for k, v in self.components.items()}
+
+    def _validate(self):
+        _, num = self.numerators()
         get = num.get
         for (a, c, b, d), v in num.items():
             if get((c, a, b, d), 0) != -v or get((a, c, d, b), 0) != -v:
@@ -181,53 +186,63 @@ class NormalMetricJets:
     sqrt_det: Jet
 
 
-def _scalar_jet(n: int, entries: Dict[Tuple[int, ...], object]) -> Jet:
-    return Jet(
+def _scalar_jet(n: int, entries: Dict[Tuple[int, ...], int], den: int) -> Jet:
+    """The jet with the scalar coefficients ``num/den`` of ``entries``,
+    leaving out zero numerators."""
+    return Jet._trusted(
         n, 2,
-        {mono: CliffordElement.scalar(n, c) for mono, c in entries.items() if bool(c)},
+        {
+            mono: CliffordElement._trusted(n, {0: _reduced(num, 0, den)})
+            for mono, num in entries.items() if num
+        },
     )
 
 
 def build_metric_jets(curv: CurvatureData) -> NormalMetricJets:
-    """g_ab = delta - (1/3) R_acbd x^c x^d, its inverse, and sqrt(det g)."""
+    """g_ab = delta - (1/3) R_acbd x^c x^d, its inverse, and sqrt(det g).
+
+    The quadratic terms are summed on the integer numerators of the
+    components over their common denominator, each coefficient reduced
+    once.
+    """
     n = curv.n
-    fld = EXACT
     zero_mono = (0,) * n
     monos = [
         [tuple((i == c) + (i == d) for i in range(n)) for d in range(n)] for c in range(n)
     ]
-    # R_acbd x^c x^d, grouped by (a, b) in one pass over the nonzero
-    # components; sorted, so that each jet lists its monomials in (c, d) order
-    quadratic: Dict[Tuple[int, int], Dict[Tuple[int, ...], Fraction]] = {}
-    for (a, c, b, d), v in sorted(curv.components.items()):
-        group = quadratic.setdefault((a - 1, b - 1), {})
+    den, num = curv.numerators()
+    # R_acbd x^c x^d and Ric_cd x^c x^d = sum_a R_acad x^c x^d, grouped in
+    # one pass over the nonzero components; sorted, so that each jet lists
+    # its monomials in (c, d) order
+    quadratic: Dict[Tuple[int, int], Dict[Tuple[int, ...], int]] = {}
+    ricci: Dict[Tuple[int, ...], int] = {}
+    for (a, c, b, d), v in sorted(num.items()):
         mono = monos[c - 1][d - 1]
+        group = quadratic.setdefault((a - 1, b - 1), {})
         group[mono] = group.get(mono, 0) + v
+        if a == b:
+            ricci[mono] = ricci.get(mono, 0) + v
 
     def metric(sign: int) -> List[List[Jet]]:
         rows = []
         for a in range(n):
             row = []
             for b in range(n):
-                entries: Dict[Tuple[int, ...], object] = {}
-                if a == b:
-                    entries[zero_mono] = fld.one
+                entries = {zero_mono: 3 * den} if a == b else {}
                 for mono, v in quadratic.get((a, b), {}).items():
-                    entries[mono] = _reduced(sign * v.numerator, 0, 3 * v.denominator)
-                row.append(_scalar_jet(n, entries))
+                    entries[mono] = sign * v
+                row.append(_scalar_jet(n, entries, 3 * den))
             rows.append(row)
         return rows
 
     g_lower = metric(-1)
     g_upper = metric(+1)
 
-    sixth = Fraction(1, 6)
-    entries = {zero_mono: fld.one}
-    for (c, d), v in curv.ricci().items():
-        mono = monos[c - 1][d - 1]
-        coeff = fld.of(-sixth * v)
-        entries[mono] = entries.get(mono, fld.of(0)) + coeff
-    sqrt_det = _scalar_jet(n, entries)
+    entries = {zero_mono: 6 * den}
+    # in (c, d) order, which is the reverse order of the monomials
+    for mono, v in sorted(ricci.items(), reverse=True):
+        entries[mono] = -v
+    sqrt_det = _scalar_jet(n, entries, 6 * den)
     return NormalMetricJets(n, g_lower, g_upper, sqrt_det)
 
 
@@ -239,25 +254,31 @@ def _quadratic_form_symbol(metric: List[List[Jet]], k: int) -> Symbol:
     terms: Dict[Tuple[Tuple[int, ...], int], Jet] = {((0,) * n, k + 1): one_jet}
     for a in range(n):
         for b in range(n):
-            corr = metric[a][b] - (one_jet if a == b else Jet(n, 2, {}))
+            corr = metric[a][b] - one_jet if a == b else metric[a][b]
             if corr.is_zero():
                 continue
             key = (tuple((i == a) + (i == b) for i in range(n)), k)
-            terms[key] = terms.get(key, Jet(n, 2, {})) + corr
+            s = terms.get(key)
+            terms[key] = corr if s is None else s + corr
     return Symbol(n, 2, EXACT, terms)
 
 
 def laplacian_symbol(jets: NormalMetricJets) -> Symbol:
-    """sigma_2 = g^ab xi_a xi_b, sigma_1 = (-i/sqrt g) d_a(sqrt g g^ab) xi_b, sigma_0 = 0."""
+    """sigma_2 = g^ab xi_a xi_b, sigma_1 = (-i/sqrt g) d_a(sqrt g g^ab) xi_b, sigma_0 = 0.
+
+    d_a(sqrt g g^ab) is expanded by Leibniz, (d_a sqrt g) g^ab + sqrt g
+    d_a g^ab, and summed over a in one ``sum_of_products`` per b.
+    """
     n, fld = jets.n, EXACT
     inv_sqrt = invert_scalar_jet(jets.sqrt_det, fld)
+    d_sqrt = [jets.sqrt_det.partial_x(a + 1) for a in range(n)]
     minus_i = fld.of(0) - fld.i
     sigma1 = []
     for b in range(n):
-        acc = Jet(n, 2, {})
-        for a in range(n):
-            acc = acc + (jets.sqrt_det * jets.g_upper[a][b]).partial_x(a + 1)
-        sigma1.append((inv_sqrt * acc).scale(minus_i))
+        column = [jets.g_upper[a][b] for a in range(n)]
+        pairs = [(d_sqrt[a], g) for a, g in enumerate(column)]
+        pairs += [(jets.sqrt_det, g.partial_x(a + 1)) for a, g in enumerate(column)]
+        sigma1.append((inv_sqrt * sum_of_products(pairs)).scale(minus_i))
     return _quadratic_form_symbol(jets.g_upper, 0) + xi_linear_symbol(fld, sigma1)
 
 

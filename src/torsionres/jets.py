@@ -11,13 +11,16 @@ imaginary row): the numerators of all Clifford products that land on one
 output monomial are summed before a single reduction per blade.  Only
 row pairs whose x-degrees add up to at most the cap reach the kernel
 (``accumulate_admitted``, shared with the symbol products of
-``symbols``), in the order of the rows, which go by x-degree.
+``symbols``), in the order of the rows, which go by x-degree.  A sum of
+several products, such as a Leibniz expansion, goes through the same
+kernel in one accumulator (``sum_of_products``), reduced once; a single
+product is the sum of one pair.
 """
 
 from __future__ import annotations
 
 from operator import add
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .clifford import CliffordElement, accumulate, operand_rows, reduce
 
@@ -76,14 +79,14 @@ def _within_cap(cap: int):
     return lambda a, b: a + b <= cap
 
 
-def _jet_items(jet: "Jet"):
+def _jet_items(jet: "Jet", pair: int):
     """The ``(key, element)`` items of a jet's rows, one per monomial, keyed
-    by ``(monomial, degree)`` and in order of degree, which fixes the order
-    of float sums."""
+    by ``(monomial, pair, degree)`` and in order of degree, which fixes the
+    order of float sums; ``pair`` names the product the jet is a factor of."""
     by_degree = [[] for _ in range(jet.max_degree + 1)]
     for mono, elem in jet.terms.items():
         degree = _mono_degree(mono)
-        by_degree[degree].append(((mono, degree), elem))
+        by_degree[degree].append(((mono, pair, degree), elem))
     return [item for items in by_degree for item in items]
 
 
@@ -156,14 +159,7 @@ class Jet:
 
     def __mul__(self, other: "Jet") -> "Jet":
         """Truncated product; coefficients multiply in the given order."""
-        self._check(other)
-        cap = self.max_degree
-        if not self.terms or not other.terms:
-            return Jet(self.nvars, cap)
-        xs, ys, d = operand_rows(_jet_items(self), _jet_items(other))
-        acc: Dict = {}
-        accumulate_admitted(acc, xs, ys, _x_degree, _within_cap(cap), _jet_pair_key)
-        return Jet._trusted(self.nvars, cap, reduce(coefficient_dim(self, other), acc, d))
+        return sum_of_products(((self, other),))
 
     def scale(self, s) -> "Jet":
         return Jet(self.nvars, self.max_degree, {m: c.scale(s) for m, c in self.terms.items()})
@@ -229,6 +225,39 @@ class Jet:
             )
             parts.append(f"[{self.terms[mono]!r}]{('*' + xs) if xs else ''}")
         return "Jet(" + " + ".join(parts) + ")"
+
+
+def sum_of_products(pairs: Sequence[Tuple[Jet, Jet]]) -> Jet:
+    """sum_i a_i * b_i over the jet pairs ``(a_i, b_i)``, truncated at their
+    common cap; coefficients multiply in the given order.
+
+    The rows of all left factors share one denominator and those of all
+    right factors another, so the admitted row pairs of every product feed
+    one kernel accumulator, reduced once.
+    """
+    first = pairs[0][0]
+    for a, b in pairs:
+        first._check(a)
+        first._check(b)
+    nvars, cap = first.nvars, first.max_degree
+    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+    if not pairs:
+        return Jet(nvars, cap)
+    xs, ys, d = operand_rows(
+        [item for i, (a, _) in enumerate(pairs) for item in _jet_items(a, i)],
+        [item for i, (_, b) in enumerate(pairs) for item in _jet_items(b, i)],
+    )
+    lefts, rights = [[] for _ in pairs], [[] for _ in pairs]
+    for row in xs:
+        lefts[row[0][1]].append(row)
+    for row in ys:
+        rights[row[0][1]].append(row)
+    acc: Dict = {}
+    admits = _within_cap(cap)
+    for left, right in zip(lefts, rights):
+        accumulate_admitted(acc, left, right, _x_degree, admits, _jet_pair_key)
+    dim = coefficient_dim(*(jet for pair in pairs for jet in pair))
+    return Jet._trusted(nvars, cap, reduce(dim, acc, d))
 
 
 def invert_scalar_jet(j: Jet, field) -> Jet:

@@ -30,7 +30,10 @@ xi-degree)`` labels), so the key rule sees only pairs it keeps.  A
 operands once, takes the xi- and x-derivatives of every alpha on the rows,
 and sums all alpha terms in one kernel accumulator; the (-i)^{|alpha|} of
 an alpha term turns the quarter-turn of exact rows and rotates the
-coefficients of float rows.
+coefficients of float rows.  ``symbol_invert_order2`` sums its q_{-3}
+bracket the same way, and takes only the powers of its Neumann series
+that the jet cap leaves nonzero: with v the lowest x-degree of the
+series' seed, max_degree // v of them.
 
 Equality of symbols is decided exactly: the representation by monomials
 and norm powers is not unique (sum_i xi_i^2 = |xi|^2), so a difference is
@@ -489,11 +492,20 @@ def symbol_invert_order2(p: Symbol) -> Tuple[Symbol, Symbol]:
     base_inv = Symbol(nvars, max_degree, field, {(zero_mono, -1): inv_jet})
     if n_terms:
         n_sym = Symbol(nvars, max_degree, field, n_terms)
-        # p2 = lead |xi|^2 + N  =>  p2^{-1} = base_inv * sum_k (-N base_inv)^k
+        # p2 = lead |xi|^2 + N  =>  p2^{-1} = base_inv * sum_k (-N base_inv)^k.
+        # With v the lowest x-degree in the seed -N base_inv, its k-th power
+        # starts at x-degree k v, so powers past max_degree // v vanish.
+        # Float rounding may leave N residue at the base point (v = 0); the
+        # series then runs to max_degree powers.
         seed = symbol_product(n_sym, base_inv).scale(field.of(-1))
-        series = norm_squared_symbol(nvars, max_degree, field, dim, 0)
-        power = series
-        for _ in range(max_degree):
+        v = min(
+            (sum(mono) for jet in seed.terms.values() for mono in jet.terms),
+            default=max_degree + 1,
+        )
+        top = max_degree // v if v else max_degree
+        series = norm_squared_symbol(nvars, max_degree, field, dim, 0) + seed
+        power = seed
+        for _ in range(top - 1):
             power = symbol_product(power, seed)
             if not power.terms:
                 break
@@ -502,17 +514,25 @@ def symbol_invert_order2(p: Symbol) -> Tuple[Symbol, Symbol]:
     else:
         q2 = base_inv
 
-    # d_x q_{-2} is known only to order max_degree - 1, so q_{-3} is formed
-    # from factors truncated to that order and kept to it
+    # d_x q_{-2} is known only to order max_degree - 1, so q_{-3} is kept to
+    # that order.  q_{-3} = q_{-2} B with the negated bracket
+    # B = -p_1 q_{-2} + i sum_j d_xi_j(p_2) d_x_j(q_{-2}), whose row pairs at
+    # x-degree <= valid all feed one kernel accumulator: the -1 and the i
+    # are quarter-turns of the rows of p_1 and p_2.
     valid = max_degree - 1
-    q2_low = q2.truncate_jets(valid)
-    bracket = symbol_product(p1.truncate_jets(valid), q2_low)
-    p2_low = p2.truncate_jets(valid)
-    corr = Symbol.zero(nvars, max_degree, field)
-    for mu in range(1, nvars + 1):
-        corr = corr + symbol_product(p2_low.partial_xi(mu), q2.partial_x(mu))
-    bracket = bracket - corr.scale(field.i)
-    q3 = symbol_product(q2_low, bracket).scale(field.of(-1)).truncate_jets(valid)
+    p_rows, q_rows, d = operand_rows(_symbol_items(p1) + _symbol_items(p2), _symbol_items(q2))
+    p1_rows = [(key, *_row_times(q, row, 1, 2)) for key, q, row in p_rows if key[2] == 1]
+    p2_rows = [(key, *_row_times(q, row, 1, 3)) for key, q, row in p_rows if key[2] == 2]
+    admits = _admits(valid, -math.inf)
+    acc: Dict = {}
+    accumulate_admitted(acc, p1_rows, q_rows, _symbol_label, admits, _symbol_pair_key)
+    for j in range(nvars):
+        dq = _x_derivative_rows(q_rows, j)
+        if dq:
+            dp = _xi_derivative_rows(p2_rows, j)
+            accumulate_admitted(acc, dp, dq, _symbol_label, admits, _symbol_pair_key)
+    bracket = _symbol_of_elements(p, reduce(dim, acc, d))
+    q3 = symbol_product(q2.truncate_jets(valid), bracket).truncate_jets(valid)
     return q2, q3
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from torsionres.clifford import CliffordElement
 from torsionres.geometry import CurvatureData, build_metric_jets
-from torsionres.jets import Jet, invert_scalar_jet
+from torsionres.jets import Jet, invert_scalar_jet, sum_of_products
 from torsionres.scalars import EXACT
 
 
@@ -35,6 +35,26 @@ def test_noncommutative_coefficients():
     b = Jet.constant(4, 1, e2)
     assert (a * b) == -(b * a)
     assert (a * a) == Jet.constant(4, 1, CliffordElement.scalar(4, EXACT.of(-1)))
+
+
+def test_sum_of_products_is_the_sum_of_the_products():
+    """One accumulator over several pairs gives the sum of the separate
+    products: factor order kept, cancellations dropped, empty factors and
+    terms past the cap left out, mismatched jets refused."""
+    e1 = CliffordElement.basis(2, 1, EXACT.of(Fraction(1, 3)))
+    e2 = CliffordElement.basis(2, 2, EXACT.of(Fraction(-2, 5)))
+    x1, x2 = (1, 0), (0, 1)
+    a = Jet(2, 2, {(0, 0): e1, x1: e2})
+    b = Jet(2, 2, {(0, 0): e2, x2: e1, (1, 1): e1})
+    empty = Jet(2, 2, {})
+    pairs = [(a, b), (b, a), (empty, a), (a, a)]
+    want = a * b + b * a + a * a
+    assert sum_of_products(pairs) == want
+    assert sum_of_products([(a, b), (b, a)]) == a * b + b * a
+    assert sum_of_products([(a, b), (b, a)]) != a * b + a * b
+    assert sum_of_products([(empty, a)]) == empty
+    with pytest.raises(ValueError):
+        sum_of_products([(a, b), (Jet(2, 1, {(0, 0): e1}), a)])
 
 
 def test_partial_x():

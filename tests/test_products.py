@@ -384,9 +384,11 @@ def _patch_everywhere(monkeypatch, fn, replacement):
 def test_no_row_pair_below_the_lowest_degree_reaches_a_key_rule(monkeypatch):
     """Symbol compositions leave out row pairs whose xi-degrees add up to
     less than ``lowest_degree`` before the kernel asks the key rule (a
-    plain product has no floor): over exact m=2 and m=3 reports and the
-    inversion of a curved Laplacian, the rule sees pairs, but none below."""
-    floors, seen, below = [], [], []
+    plain product has no floor, and neither has the q_{-3} bracket of the
+    inverter, which asks the rule outside any product): over exact m=2 and
+    m=3 reports and the inversion of curved Laplacians at n=4 and n=6, the
+    rule sees pairs, compositions' pairs among them, and none below."""
+    floors, seen, composed, below = [], [], [], []
     product, compose, symbol_key = symbol_product, symbol_compose, symbols._symbol_pair_key
 
     def watched_product(a, b):
@@ -404,10 +406,12 @@ def test_no_row_pair_below_the_lowest_degree_reaches_a_key_rule(monkeypatch):
             floors.pop()
 
     def watched_symbol_key(ka, kb):
-        floor = floors[-1]
+        floor = floors[-1] if floors else None
         seen.append(ka[2] + kb[2])
-        if floor is not None and ka[2] + kb[2] < floor:
-            below.append((ka, kb, floor))
+        if floor is not None:
+            composed.append(ka[2] + kb[2])
+            if ka[2] + kb[2] < floor:
+                below.append((ka, kb, floor))
         return symbol_key(ka, kb)
 
     _patch_everywhere(monkeypatch, product, watched_product)
@@ -415,9 +419,10 @@ def test_no_row_pair_below_the_lowest_degree_reaches_a_key_rule(monkeypatch):
     monkeypatch.setattr(symbols, "_symbol_pair_key", watched_symbol_key)
     for m in (2, 3):
         build_report(random_scenario(m, "exact", random.Random(520 + m)))
-    curv = random_curvature(4, random.Random(5))
-    symbol_invert_order2(laplacian_symbol(build_metric_jets(curv)))
-    assert seen
+    for n in (4, 6):
+        curv = random_curvature(n, random.Random(5))
+        symbol_invert_order2(laplacian_symbol(build_metric_jets(curv)))
+    assert seen and composed
     assert below == []
 
 

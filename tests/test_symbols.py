@@ -11,7 +11,8 @@ from torsionres.geometry import (
     random_scenario,
     rescaled_dirac_symbols,
 )
-from torsionres.jets import Jet
+from torsionres import symbols
+from torsionres.jets import Jet, invert_scalar_jet
 from torsionres.scalars import EXACT, FLOAT
 from torsionres.symbols import (
     Symbol,
@@ -337,3 +338,151 @@ def test_q3_is_full_formula_to_valid_order_laplacian():
     rng = random.Random(43)
     for n in (4, 6):
         _check_q3_valid_order(laplacian_symbol(build_metric_jets(random_curvature(n, rng))))
+
+
+# -- the inverter against its first formula ------------------------------------------
+
+
+def _invert_reference(p):
+    """(q_{-2}, q_{-3}) as ``symbol_invert_order2`` first formed them: the
+    Neumann series summed from the unit symbol, one power at a time until a
+    power comes out empty (at most ``max_degree`` powers), and the q_{-3}
+    bracket as one symbol product per xi-direction.  The leading form is
+    split as the inverter splits it, lambda read from xi_1^2."""
+    n, cap, field = p.nvars, p.max_degree, p.field
+    dim = next(iter(next(iter(p.terms.values())).terms.values())).dim
+    p1, p2 = p.take_degree(1), p.take_degree(2)
+    zero_mono, zero_jet = (0,) * n, Jet(n, cap, {})
+    lam = p2.terms.get((mono(2, *(0,) * (n - 1)), 0), zero_jet).value_at_origin(dim).coefficient(0)
+    lam_jet = Jet.constant(n, cap, CliffordElement.scalar(dim, lam or field.of(0)))
+    lead = p2.terms.get((zero_mono, 1), zero_jet) + lam_jet
+    n_sym = Symbol(n, cap, field, {
+        (xi, 0): jet - lam_jet if max(xi) == 2 else jet
+        for (xi, k), jet in p2.terms.items() if k == 0
+    })
+    base_inv = Symbol(n, cap, field, {(zero_mono, -1): invert_scalar_jet(lead, field)})
+    q2 = base_inv
+    if n_sym.terms:
+        seed = symbol_product(n_sym, base_inv).scale(field.of(-1))
+        series = power = norm_squared_symbol(n, cap, field, dim, 0)
+        for _ in range(cap):
+            power = symbol_product(power, seed)
+            if not power.terms:
+                break
+            series = series + power
+        q2 = symbol_product(base_inv, series)
+    valid = cap - 1
+    q2_low = q2.truncate_jets(valid)
+    bracket = symbol_product(p1.truncate_jets(valid), q2_low)
+    p2_low = p2.truncate_jets(valid)
+    corr = Symbol.zero(n, cap, field)
+    for mu in range(1, n + 1):
+        corr = corr + symbol_product(p2_low.partial_xi(mu), q2.partial_x(mu))
+    bracket = bracket - corr.scale(field.i)
+    q3 = symbol_product(q2_low, bracket).scale(field.of(-1)).truncate_jets(valid)
+    return q2, q3
+
+
+def _assert_inverts_like_reference(p):
+    got, want = symbol_invert_order2(p), _invert_reference(p)
+    assert got[1].terms
+    assert [q.terms for q in got] == [q.terms for q in want]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_invert_matches_reference_on_curved_laplacians(n):
+    """Quadratic jets: the seed -N base_inv starts at x-degree 2, so the
+    series stops after its first power."""
+    rng = random.Random(700 + n)
+    for _ in range(3):
+        _assert_inverts_like_reference(laplacian_symbol(build_metric_jets(random_curvature(n, rng))))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_invert_matches_reference_on_exact_squares(m):
+    """The composed square of the oracle and the closed-form square of the
+    term route, both with first-order jets."""
+    rng = random.Random(720 + m)
+    for _ in range(2):
+        s = random_scenario(m, "exact", rng)
+        dirac = rescaled_dirac_symbols(s)
+        _assert_inverts_like_reference(symbol_compose(dirac, dirac, 1))
+        _assert_inverts_like_reference(square_symbols(s))
+
+
+def _base_point_residue(p):
+    """Whether N, the quadratic monomials of p_2 less lambda on the
+    diagonal, is nonzero at the base point."""
+    dim = p.nvars
+    diagonal = {
+        jet.value_at_origin(dim).coefficient(0)
+        for (xi, k), jet in p.take_degree(2).terms.items() if k == 0 and max(xi) == 2
+    }
+    return len(diagonal) > 1
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_invert_matches_reference_on_float_squares_with_base_point_residue(m):
+    """A float composed square keeps rounding residue of N at the base
+    point, so the seed has x-valuation 0 and the series keeps its
+    max_degree bound; values agree exactly (-0.0 == 0.0)."""
+    s = random_scenario(m, "float", random.Random(60 + m))
+    dirac = rescaled_dirac_symbols(s)
+    square = symbol_compose(dirac, dirac, 1)
+    assert _base_point_residue(square)
+    _assert_inverts_like_reference(square)
+
+
+def test_invert_matches_reference_on_a_quadratic_float_form_with_base_point_residue():
+    """Quadratic jets and base-point residue: the series takes both powers."""
+    x1, x2 = mono(1, 0, 0, 0), mono(0, 1, 0, 0)
+
+    def jet(entries):
+        return Jet(N, 2, {m: CliffordElement.scalar(N, FLOAT.of(c)) for m, c in entries.items()})
+
+    diagonal = [1.0, 1.0 + 1e-15, 1.0, 1.0 - 1e-15]
+    terms = {
+        (tuple(2 * (i == j) for i in range(N)), 0): jet({(0,) * N: c, mono(1, 1, 0, 0): 0.25 * j})
+        for j, c in enumerate(diagonal)
+    }
+    terms[(mono(1, 1, 0, 0), 0)] = jet({(0,) * N: 1e-15, x1: 0.5, mono(0, 2, 0, 0): -0.3})
+    terms[(mono(0, 0, 1, 0), 0)] = jet({x1: 0.7, x2: -0.2})
+    p = Symbol(N, 2, FLOAT, terms)
+    assert _base_point_residue(p)
+    _assert_inverts_like_reference(p)
+
+
+def test_invert_and_laplacian_build_no_product_they_throw_away(monkeypatch):
+    """On a curved n=6 Laplacian the inverter multiplies nothing by the
+    unit symbol and makes no product that comes out empty, and the
+    Laplacian's sigma_1 makes one jet product per xi_b (beside those of
+    inverting sqrt g), not one per (a, b)."""
+    n = 6
+    jets_built = build_metric_jets(random_curvature(n, random.Random(17)))
+    jet_products = []
+    jet_mul = Jet.__mul__
+
+    def counted_mul(a, b):
+        jet_products.append((a, b))
+        return jet_mul(a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", counted_mul)
+    lap = laplacian_symbol(jets_built)
+    monkeypatch.setattr(Jet, "__mul__", jet_mul)
+    assert 0 < len(jet_products) <= n + jets_built.sqrt_det.max_degree
+
+    products = []
+    product = symbols.symbol_product
+
+    def watched_product(a, b):
+        out = product(a, b)
+        products.append((a, b, out))
+        return out
+
+    monkeypatch.setattr(symbols, "symbol_product", watched_product)
+    symbol_invert_order2(lap)
+    unit = norm_squared_symbol(n, 2, EXACT, n, 0)
+    assert products
+    for a, b, out in products:
+        assert not symbol_is_zero(a - unit) and not symbol_is_zero(b - unit)
+        assert out.terms
